@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tcppr/internal/sim"
 )
 
 func TestSuiteNamesCoverBaseline(t *testing.T) {
@@ -33,7 +35,7 @@ func TestSpanDetachedZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark gate in -short mode")
 	}
-	r := testing.Benchmark(benchSpanDetached)
+	r := testing.Benchmark(func(b *testing.B) { benchSpanDetached(b, new(heapCounters)) })
 	if got := r.AllocsPerOp(); got != 0 {
 		t.Fatalf("detached forwarding allocates %d allocs/op, want 0", got)
 	}
@@ -48,9 +50,43 @@ func TestEngineObsDetachedZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark gate in -short mode")
 	}
-	r := testing.Benchmark(benchEngineObsQuietHeartbeat)
+	r := testing.Benchmark(func(b *testing.B) { benchEngineObsQuietHeartbeat(b, new(heapCounters)) })
 	if got := r.AllocsPerOp(); got != 0 {
 		t.Fatalf("forwarding under a quiet heartbeat allocates %d allocs/op, want 0", got)
+	}
+}
+
+// TestSchedulerPatternGates holds the two timer-pattern entries at 0
+// allocs/op and at their exact queue cost per op: an RTO pushed out is one
+// in-place re-arm and nothing else; a per-packet loss timer is one extra
+// push and one cancelled pop.
+func TestSchedulerPatternGates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate in -short mode")
+	}
+	for _, bn := range Suite() {
+		var want sim.Stats
+		switch bn.Name {
+		case "scheduler/timer-rearm-later":
+			want = sim.Stats{Pushes: 1, Pops: 1, Rearms: 1}
+		case "scheduler/cancel-heavy":
+			want = sim.Stats{Pushes: 2, Pops: 2, CancelledPops: 1}
+		default:
+			continue
+		}
+		m := Run(bn)
+		if m.AllocsPerOp != 0 {
+			t.Errorf("%s allocates %d allocs/op, want 0", bn.Name, m.AllocsPerOp)
+		}
+		if m.Heap == nil {
+			t.Fatalf("%s recorded no heap counters", bn.Name)
+		}
+		n := uint64(m.Ops)
+		got := *m.Heap
+		if got.Pushes != want.Pushes*n || got.Pops != want.Pops*n ||
+			got.CancelledPops != want.CancelledPops*n || got.Rearms != want.Rearms*n {
+			t.Errorf("%s over %d ops: %+v, want per op %+v", bn.Name, n, got, want)
+		}
 	}
 }
 
@@ -76,7 +112,7 @@ func TestRunMeasuresSimRate(t *testing.T) {
 	m := Run(Bench{
 		Name:       "trivial",
 		SimSeconds: 1,
-		F: func(b *testing.B) {
+		F: func(b *testing.B, _ *heapCounters) {
 			x := 0
 			for i := 0; i < b.N; i++ {
 				x += i

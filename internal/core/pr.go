@@ -377,13 +377,22 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 			s.SpuriousRetxAvoided++
 		}
 	}
+	oldUna := s.una
 	s.una = cum
 	s.dupTicks = 0
 	s.env.ReportProgress()
 
 	// Anything the receiver now holds no longer needs retransmission.
 	s.retxQueue.DropBelow(cum)
+	// Every to-be-ack key lies in [una, nextNew): send takes either
+	// nextNew, which never falls below una, or the smallest queued
+	// retransmission, which was a to-be-ack key when onDrop queued it and
+	// has survived every DropBelow(cum) since. So the packets this ACK
+	// covers are found by walking the sequences it newly covers — O(acked)
+	// — rather than the whole window.
+	end := cum
 	if s.nextNew < cum {
+		end = s.nextNew
 		s.nextNew = cum
 	}
 
@@ -392,9 +401,10 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 	sampled := false
 	coversRetx := false
 	ackedCount := 0
-	for seq, f := range s.inflight {
-		if seq >= cum {
-			continue
+	for seq := oldUna; seq < end; seq++ {
+		f, ok := s.inflight[seq]
+		if !ok {
+			continue // declared dropped, waiting in to-be-sent
 		}
 		ackedCount++
 		delete(s.inflight, seq)

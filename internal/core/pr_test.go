@@ -544,3 +544,55 @@ func TestPRWindowDisciplineProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: every to-be-ack key lies in [una, nextNew), whatever mix of
+// cumulative jumps, duplicates, ACKs past the send point, silence (loss
+// timers, back-off, extreme-loss resets) and retransmissions the sender
+// sees. OnAck relies on it to find the packets an ACK covers by walking
+// [old una, cum) instead of the whole window: a key left below una would
+// never be released.
+func TestPRToBeAckKeysStayInWindowProperty(t *testing.T) {
+	var drops, retx uint64
+	f := func(seed int64, script []uint8) bool {
+		rng := sim.NewRand(seed)
+		h := newHarness()
+		s := New(h.env(), Config{MaxBurst: -1, InitialCwnd: 8})
+		s.Start()
+		for _, b := range script {
+			switch b % 4 {
+			case 0: // silence long enough for loss timers to fire
+				h.sched.RunUntil(h.sched.Now() + time.Duration(b)*20*time.Millisecond)
+			case 1: // duplicate
+				s.OnAck(cum(s.Una()))
+			case 2: // cumulative advance, sometimes past everything sent
+				s.OnAck(cum(s.Una() + 1 + rng.Int63n(int64(b)/4+2)))
+			case 3: // a little time, then the next packet's ACK
+				h.sched.RunUntil(h.sched.Now() + time.Duration(b)*time.Millisecond)
+				s.OnAck(cum(s.Una() + 1))
+			}
+			for seq := range s.inflight {
+				if seq < s.una || seq >= s.nextNew {
+					t.Logf("to-be-ack key %d outside [una %d, nextNew %d)", seq, s.una, s.nextNew)
+					return false
+				}
+			}
+			if min, ok := s.retxQueue.Min(); ok && min < s.una {
+				t.Logf("to-be-sent retransmission %d below una %d", min, s.una)
+				return false
+			}
+		}
+		drops += s.DropsDetected
+		for _, seg := range h.sent {
+			if seg.Retx {
+				retx++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if drops == 0 || retx == 0 {
+		t.Fatalf("scripts exercised %d drops and %d retransmissions; the property was checked vacuously", drops, retx)
+	}
+}

@@ -1,0 +1,379 @@
+package sim
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// The reference model of the event queue: a slice kept in scheduling
+// order and stable-sorted by time on every step, where cancel is delete
+// and a timer reset is cancel plus append. It is what the scheduler's
+// documentation promises and nothing more, so any divergence of the real
+// queue (4-ary heap, lazy cancellation, in-place re-arm with stale keys,
+// pooled events behind generation-checked handles) is a bug in the queue.
+
+type modelEvent struct {
+	at         Time
+	seq        uint64
+	id         int
+	childDelay int // >= 0: the callback schedules event -id that much later
+	cancelSlot int // >= 0: the callback cancels whatever that handle slot holds
+}
+
+type model struct {
+	now       Time
+	seq       uint64
+	processed uint64
+	q         []modelEvent
+	fired     []int
+}
+
+func (m *model) schedule(ev modelEvent) {
+	ev.seq = m.seq
+	m.seq++
+	m.q = append(m.q, ev)
+}
+
+func (m *model) find(id int) int {
+	for i, ev := range m.q {
+		if ev.id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *model) cancel(id int) bool {
+	i := m.find(id)
+	if i < 0 {
+		return false
+	}
+	m.q = append(m.q[:i], m.q[i+1:]...)
+	return true
+}
+
+func (m *model) at(id int) Time {
+	if i := m.find(id); i >= 0 {
+		return m.q[i].at
+	}
+	return 0
+}
+
+// next returns the index of the event to fire: smallest time, earliest
+// scheduled among equals.
+func (m *model) next() int {
+	if len(m.q) == 0 {
+		return -1
+	}
+	order := make([]int, len(m.q))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ea, eb := m.q[order[a]], m.q[order[b]]
+		if ea.at != eb.at {
+			return ea.at < eb.at
+		}
+		return ea.seq < eb.seq
+	})
+	return order[0]
+}
+
+const (
+	fuzzSlots  = 6 // handle slots
+	fuzzTimers = 3
+	timerID0   = 1 << 30 // timers fire as timerID0+k
+)
+
+// Opcodes of the fuzz program; each op is two bytes, {slot<<4 | opcode, arg}.
+const (
+	opAt        = iota // At(now+arg&15); arg>>4: 1..7 child after that-1, 8..15 cancel slot
+	opAtFunc           // AtFunc(now+arg&15)
+	opCancel           // Handle.Cancel on a slot (possibly stale or zero)
+	opReset            // Timer.Reset(now+arg&15)
+	opResetNear        // Timer.Reset(last deadline + (arg&7) - 3), clamped to now
+	opStop             // Timer.Stop
+	opSelfReset        // the timer's next firing calls Reset(now+arg&15) from its callback
+	opStep             // Step
+	opRunUntil         // RunUntil(now+arg&31)
+	opCount
+)
+
+func op(code, slot, arg int) []byte { return []byte{byte(slot<<4 | code), byte(arg)} }
+
+func prog(ops ...[]byte) []byte {
+	var out []byte
+	for _, o := range ops {
+		out = append(out, o...)
+	}
+	return out
+}
+
+type fuzzSlot struct {
+	h  Handle
+	id int
+}
+
+// harness drives one Scheduler and one model through the same program.
+type harness struct {
+	t      *testing.T
+	s      *Scheduler
+	m      model
+	fired  []int
+	slots  [fuzzSlots]fuzzSlot
+	timers [fuzzTimers]*Timer
+	last   [fuzzTimers]Time // deadline most recently asked of each timer
+	self   [fuzzTimers]int  // real side: pending self-reset delay, -1 none
+	mself  [fuzzTimers]int  // model side of the same
+	nextID int
+}
+
+func newHarness(t *testing.T) *harness {
+	h := &harness{t: t, s: NewScheduler(), nextID: 1}
+	h.s.SetDebugPool(true)
+	for k := range h.timers {
+		k := k
+		h.self[k], h.mself[k] = -1, -1
+		h.timers[k] = NewTimer(h.s, func() {
+			h.fired = append(h.fired, timerID0+k)
+			if d := h.self[k]; d >= 0 {
+				h.self[k] = -1
+				h.timers[k].Reset(h.s.Now() + Time(d))
+			}
+		})
+	}
+	return h
+}
+
+func (h *harness) modelReset(k int, at Time) {
+	h.m.cancel(timerID0 + k)
+	h.m.schedule(modelEvent{at: at, id: timerID0 + k, childDelay: -1, cancelSlot: -1})
+}
+
+func (h *harness) modelStep() {
+	i := h.m.next()
+	ev := h.m.q[i]
+	h.m.q = append(h.m.q[:i], h.m.q[i+1:]...)
+	h.m.now = ev.at
+	h.m.processed++
+	h.m.fired = append(h.m.fired, ev.id)
+	if ev.id >= timerID0 {
+		k := ev.id - timerID0
+		if d := h.mself[k]; d >= 0 {
+			h.mself[k] = -1
+			h.modelReset(k, h.m.now+Time(d))
+		}
+		return
+	}
+	if ev.childDelay >= 0 {
+		h.m.schedule(modelEvent{at: h.m.now + Time(ev.childDelay), id: -ev.id, childDelay: -1, cancelSlot: -1})
+	}
+	if ev.cancelSlot >= 0 {
+		h.m.cancel(h.slots[ev.cancelSlot].id)
+	}
+}
+
+func (h *harness) exec(code, slot, arg int) {
+	s, m := h.s, &h.m
+	k := slot % fuzzTimers
+	slot %= fuzzSlots
+	switch code {
+	case opAt:
+		id := h.nextID
+		h.nextID++
+		at := s.Now() + Time(arg&15)
+		child, cancel := -1, -1
+		switch v := arg >> 4; {
+		case v >= 8:
+			cancel = (v - 8) % fuzzSlots
+		case v >= 1:
+			child = v - 1
+		}
+		h.slots[slot] = fuzzSlot{id: id, h: s.At(at, func() {
+			h.fired = append(h.fired, id)
+			if child >= 0 {
+				s.At(s.Now()+Time(child), func() { h.fired = append(h.fired, -id) })
+			}
+			if cancel >= 0 {
+				h.slots[cancel].h.Cancel()
+			}
+		})}
+		m.schedule(modelEvent{at: at, id: id, childDelay: child, cancelSlot: cancel})
+	case opAtFunc:
+		id := h.nextID
+		h.nextID++
+		at := s.Now() + Time(arg&15)
+		h.slots[slot] = fuzzSlot{id: id, h: s.AtFunc(at, func(a any) {
+			h.fired = append(h.fired, *a.(*int))
+		}, &id)}
+		m.schedule(modelEvent{at: at, id: id, childDelay: -1, cancelSlot: -1})
+	case opCancel:
+		got, want := h.slots[slot].h.Cancel(), m.cancel(h.slots[slot].id)
+		if got != want {
+			h.t.Fatalf("Cancel(slot %d) = %v, model %v", slot, got, want)
+		}
+	case opReset, opResetNear:
+		at := s.Now() + Time(arg&15)
+		if code == opResetNear {
+			if at = h.last[k] + Time(arg&7) - 3; at < s.Now() {
+				at = s.Now()
+			}
+		}
+		h.last[k] = at
+		h.timers[k].Reset(at)
+		h.modelReset(k, at)
+	case opStop:
+		got, want := h.timers[k].Stop(), m.cancel(timerID0+k)
+		if got != want {
+			h.t.Fatalf("Stop(timer %d) = %v, model %v", k, got, want)
+		}
+	case opSelfReset:
+		h.self[k], h.mself[k] = arg&15, arg&15
+	case opStep:
+		got, want := s.Step(), len(m.q) > 0
+		if want {
+			h.modelStep()
+		}
+		if got != want {
+			h.t.Fatalf("Step() = %v, model %v", got, want)
+		}
+	case opRunUntil:
+		until := s.Now() + Time(arg&31)
+		s.RunUntil(until)
+		for {
+			i := m.next()
+			if i < 0 || m.q[i].at > until {
+				break
+			}
+			h.modelStep()
+		}
+		if m.now < until {
+			m.now = until
+		}
+	}
+}
+
+// check compares every observable of the scheduler with the model and then
+// audits the heap's internal invariants.
+func (h *harness) check(step int) {
+	t, s, m := h.t, h.s, &h.m
+	t.Helper()
+	if len(h.fired) != len(m.fired) {
+		t.Fatalf("op %d: fired %v, model %v", step, h.fired, m.fired)
+	}
+	for i := range h.fired {
+		if h.fired[i] != m.fired[i] {
+			t.Fatalf("op %d: fire order %v, model %v", step, h.fired, m.fired)
+		}
+	}
+	if s.Now() != m.now || s.Processed() != m.processed || s.Len() != len(m.q) {
+		t.Fatalf("op %d: now=%v processed=%d len=%d, model now=%v processed=%d len=%d",
+			step, s.Now(), s.Processed(), s.Len(), m.now, m.processed, len(m.q))
+	}
+	for i, sl := range h.slots {
+		if got, want := sl.h.Pending(), m.find(sl.id) >= 0; got != want {
+			t.Fatalf("op %d: slot %d Pending() = %v, model %v", step, i, got, want)
+		}
+		if got, want := sl.h.At(), m.at(sl.id); got != want {
+			t.Fatalf("op %d: slot %d At() = %v, model %v", step, i, got, want)
+		}
+	}
+	for k, tm := range h.timers {
+		if got, want := tm.Pending(), m.find(timerID0+k) >= 0; got != want {
+			t.Fatalf("op %d: timer %d Pending() = %v, model %v", step, k, got, want)
+		}
+		if got, want := tm.At(), m.at(timerID0+k); got != want {
+			t.Fatalf("op %d: timer %d At() = %v, model %v", step, k, got, want)
+		}
+	}
+	if next, ok := s.NextAt(); ok != (len(m.q) > 0) || (ok && next != m.q[m.next()].at) {
+		t.Fatalf("op %d: NextAt() = %v, %v; model queue %v", step, next, ok, m.q)
+	}
+
+	live := 0
+	for i, en := range s.heap {
+		e := en.e
+		if i > 0 && en.less(s.heap[(i-1)/heapArity]) {
+			t.Fatalf("op %d: heap order broken at index %d", step, i)
+		}
+		if !e.queued || e.pooled || e.sched != s {
+			t.Fatalf("op %d: heap[%d] event flags queued=%v pooled=%v", step, i, e.queued, e.pooled)
+		}
+		if (entry{at: e.at, seq: e.seq}).less(en) {
+			t.Fatalf("op %d: heap[%d] key (%v, %d) is after its event's (%v, %d)",
+				step, i, en.at, en.seq, e.at, e.seq)
+		}
+		if !e.canceled {
+			live++
+		}
+	}
+	if live != s.Len() {
+		t.Fatalf("op %d: Len() = %d, heap holds %d live events", step, s.Len(), live)
+	}
+	st := s.Stats()
+	if st.Pops-st.CancelledPops != s.Processed() || st.Pushes-st.Pops != uint64(len(s.heap)) ||
+		st.MaxHeapLen < len(s.heap) {
+		t.Fatalf("op %d: inconsistent stats %+v (processed %d, heap %d)", step, st, s.Processed(), len(s.heap))
+	}
+}
+
+func runProgram(t *testing.T, program []byte) {
+	if len(program) > 4096 {
+		program = program[:4096]
+	}
+	h := newHarness(t)
+	for i := 0; i+1 < len(program); i += 2 {
+		h.exec(int(program[i]&15)%opCount, int(program[i]>>4), int(program[i+1]))
+		h.check(i / 2)
+	}
+	// Drain: everything still queued must come out in model order too.
+	h.s.Run()
+	for len(h.m.q) > 0 {
+		h.modelStep()
+	}
+	h.check(len(program) / 2)
+	if len(h.s.heap) != 0 {
+		t.Fatalf("heap holds %d entries after Run", len(h.s.heap))
+	}
+}
+
+// FuzzSchedulerOrder runs random programs of At / AtFunc / Cancel /
+// Timer.Reset (later, earlier, equal, from inside its own callback) /
+// Timer.Stop / Step / RunUntil against the reference model and requires
+// identical fire order and identical answers from every accessor after
+// every operation, with pool-ownership checking armed.
+func FuzzSchedulerOrder(f *testing.F) {
+	// Revive after Stop: the cancelled entry is still queued when Reset
+	// comes, is re-armed in place and must fire once, at the new time.
+	f.Add(prog(op(opReset, 0, 5), op(opStop, 0, 0), op(opReset, 0, 9), op(opAt, 0, 7),
+		op(opRunUntil, 0, 6), op(opStop, 0, 0), op(opResetNear, 0, 3), op(opRunUntil, 0, 20)))
+	// Reset earlier than the queued deadline: falls back to cancel + push
+	// and leaves a cancelled entry behind.
+	f.Add(prog(op(opReset, 0, 9), op(opAt, 0, 4), op(opReset, 0, 2), op(opStep, 0, 0),
+		op(opStep, 0, 0), op(opStep, 0, 0), op(opStep, 0, 0)))
+	// Pushed out in place, then pulled back to between the stale key and
+	// the deadline: a fallback that leaves a cancelled *stale* entry.
+	f.Add(prog(op(opReset, 1, 3), op(opReset, 1, 12), op(opReset, 1, 6), op(opAt, 0, 6),
+		op(opAt, 1, 3), op(opRunUntil, 0, 31)))
+	// Same-timestamp ties: a timer re-armed to t before and after plain
+	// events are scheduled at t fires in the order of the Reset calls.
+	f.Add(prog(op(opReset, 0, 2), op(opAt, 0, 8), op(opReset, 0, 8), op(opAt, 1, 8),
+		op(opReset, 1, 8), op(opAtFunc, 2, 8), op(opResetNear, 0, 3), op(opRunUntil, 0, 8)))
+	// Stale handle to a recycled slot: slot 0's event fires, its *Event is
+	// reused by slot 1's, and cancelling through slot 0 must do nothing.
+	f.Add(prog(op(opAt, 0, 1), op(opStep, 0, 0), op(opAtFunc, 1, 3), op(opCancel, 0, 0),
+		op(opStep, 0, 0), op(opCancel, 1, 0)))
+	// Reset from inside the timer's own callback, and a callback that
+	// cancels another slot and schedules a child.
+	f.Add(prog(op(opSelfReset, 2, 4), op(opReset, 2, 1), op(opAt, 3, 1|9<<4), op(opAt, 1, 2|3<<4),
+		op(opRunUntil, 0, 3), op(opSelfReset, 2, 0), op(opRunUntil, 0, 31)))
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		p := make([]byte, 600)
+		rng.Read(p)
+		f.Add(p)
+	}
+	f.Fuzz(runProgram)
+}

@@ -204,3 +204,64 @@ func TestTimerRearmZeroAllocs(t *testing.T) {
 		t.Errorf("timer re-arm allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestAtIsZeroOnceNotPending pins the documented contract of Handle.At and
+// Timer.At: zero as soon as the occurrence is no longer pending. The
+// generation check alone cannot tell — it only changes when the slot is
+// reused, not when the event is cancelled or fires.
+func TestAtIsZeroOnceNotPending(t *testing.T) {
+	s := NewScheduler()
+	tm := NewTimer(s, func() {})
+	tm.Reset(5 * time.Millisecond)
+	if tm.At() != 5*time.Millisecond {
+		t.Fatalf("armed timer At() = %v, want 5ms", tm.At())
+	}
+	tm.Stop()
+	if tm.Pending() || tm.At() != 0 {
+		t.Errorf("after Stop: Pending() = %v, At() = %v, want false, 0", tm.Pending(), tm.At())
+	}
+	tm.Reset(7 * time.Millisecond) // revives the stopped entry in place
+	if tm.At() != 7*time.Millisecond {
+		t.Errorf("revived timer At() = %v, want 7ms", tm.At())
+	}
+	s.Run()
+	if tm.Pending() || tm.At() != 0 {
+		t.Errorf("after firing: Pending() = %v, At() = %v, want false, 0", tm.Pending(), tm.At())
+	}
+
+	h := s.At(time.Second, func() {})
+	h.Cancel()
+	if h.At() != 0 {
+		t.Errorf("cancelled handle At() = %v, want 0", h.At())
+	}
+}
+
+// TestTimerResetInPlaceCounters shows the two routes of Timer.Reset in the
+// scheduler's counters: a deadline pushed out re-arms the queued entry
+// (no push, one sink when it surfaces), a deadline pulled in cancels and
+// pushes.
+func TestTimerResetInPlaceCounters(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	tm := NewTimer(s, func() { fired++ })
+	tm.Reset(10 * time.Millisecond)
+	for i := 1; i <= 100; i++ {
+		tm.Reset(10*time.Millisecond + Time(i))
+	}
+	if st := s.Stats(); st.Pushes != 1 || st.Rearms != 100 || st.MaxHeapLen != 1 {
+		t.Fatalf("100 later deadlines: %+v, want 1 push, 100 re-arms, heap of 1", st)
+	}
+	tm.Reset(time.Millisecond) // earlier than the queued key
+	if st := s.Stats(); st.Pushes != 2 || st.Rearms != 100 {
+		t.Fatalf("earlier deadline: %+v, want a second push and no re-arm", st)
+	}
+	tm.Reset(20 * time.Millisecond)
+	s.Run()
+	st := s.Stats()
+	if fired != 1 || s.Now() != 20*time.Millisecond {
+		t.Fatalf("fired %d times, clock %v; want once at 20ms", fired, s.Now())
+	}
+	if st.CancelledPops != 1 || st.StaleSinks != 1 || st.Pops != 2 || s.Processed() != 1 {
+		t.Fatalf("after Run: %+v processed %d; want 1 cancelled pop, 1 sink, 2 pops, 1 processed", st, s.Processed())
+	}
+}

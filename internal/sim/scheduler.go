@@ -16,11 +16,20 @@
 // new occupant. The AtFunc/AfterFunc variants additionally avoid the
 // per-call closure by taking a long-lived callback plus an argument, which
 // makes steady-state scheduling fully allocation-free.
+//
+// The pending-event queue is a concrete 4-ary min-heap of inline
+// {at, seq, *Event} entries: comparisons read the keys straight out of the
+// slice, and a swap moves 24 bytes without touching the events. A heap key
+// may lag behind its event's (at, seq) after Timer.Reset pushed the
+// deadline out in place; the invariant is heap key <= event key, and an
+// entry found stale at the top is sunk to its true position before
+// anything fires, so execution order is exactly (at, seq) order (see
+// PERFORMANCE.md, "Event queue").
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"os"
 	"time"
 )
@@ -35,19 +44,20 @@ var debugPoolEnv = os.Getenv("TCPPR_DEBUG_POOL") != ""
 // nanosecond-exact (no floating-point clock drift).
 type Time = time.Duration
 
-// Event is one pooled entry of the pending-event queue. Events are
+// Event is one pooled occurrence on the pending-event queue. Events are
 // recycled after they fire or are discarded, so user code never holds an
 // *Event directly — Scheduler.At and friends return a Handle instead.
 type Event struct {
 	at       Time
 	seq      uint64
 	gen      uint64
+	sched    *Scheduler
 	fn       func()
 	fnArg    func(any)
 	arg      any
 	canceled bool
 	pooled   bool // on the free list (debug-mode double-release check)
-	index    int  // position in the heap, -1 once popped
+	queued   bool // a heap entry points at this event
 }
 
 // Handle identifies one scheduled occurrence of an event. The zero Handle
@@ -61,14 +71,15 @@ type Handle struct {
 	gen uint64
 }
 
-// live reports whether the handle still refers to the scheduled occurrence
-// it was created for.
+// live reports whether the handle still refers to the occurrence it was
+// created for. The generation is bumped at reuse, not at release, so a
+// live handle may refer to an event that already fired; Pending tells.
 func (h Handle) live() bool { return h.e != nil && h.e.gen == h.gen }
 
 // At returns the virtual time the event is scheduled to fire, or zero for
 // a handle that no longer refers to a pending event.
 func (h Handle) At() Time {
-	if !h.live() {
+	if !h.Pending() {
 		return 0
 	}
 	return h.e.at
@@ -78,33 +89,102 @@ func (h Handle) At() Time {
 // fired (or was already cancelled) is a no-op. It reports whether the
 // event was still pending.
 func (h Handle) Cancel() bool {
-	if !h.live() || h.e.canceled || h.e.index == -1 {
+	if !h.Pending() {
 		return false
 	}
 	h.e.canceled = true
+	h.e.sched.live--
 	return true
 }
 
 // Pending reports whether the event is still scheduled to fire.
 func (h Handle) Pending() bool {
-	return h.live() && !h.e.canceled && h.e.index != -1
+	return h.live() && h.e.queued && !h.e.canceled
 }
+
+// entry is one heap slot. The ordering key is stored inline so that a
+// comparison never dereferences the event; it equals the event's
+// (at, seq) except after an in-place re-arm, when it is older (smaller).
+type entry struct {
+	at  Time
+	seq uint64
+	e   *Event
+}
+
+// less orders entries by (time, insertion sequence). The sequence tiebreak
+// makes same-timestamp execution order equal to scheduling order, which
+// keeps simulations deterministic.
+func (a entry) less(b entry) bool { return a.lt(b) != 0 }
+
+// lt is less as 0 or 1, computed without a branch: the borrow out of the
+// 128-bit subtraction at:seq - at:seq (times are never negative, so the
+// unsigned comparison is the signed one). Which of four children is the
+// smallest is a coin toss to the branch predictor; siftDown turns these
+// bits into an index instead of branching on them.
+func (a entry) lt(b entry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
+// heapArity is the fan-out of the event heap. Four children per node
+// halve the depth of a binary heap and keep a node's children within one
+// or two cache lines of 24-byte entries. siftDown's child tournament is
+// written out for exactly four.
+const heapArity = 4
+
+// initialHeapCap is the capacity of a new scheduler's heap: 6 KiB of
+// 24-byte entries. It is sized as a byte budget because a build that
+// creates many schedulers (one per cell or shard) pays for clearing it
+// every time; a long run outgrows it within its first few appends.
+const initialHeapCap = 256
 
 // Scheduler owns the virtual clock and the pending-event queue.
 // The zero value is not usable; create one with NewScheduler.
 type Scheduler struct {
 	now       Time
 	seq       uint64
-	events    eventHeap
+	heap      []entry // 4-ary min-heap; heap[i].key <= heap[i].e.key
 	free      []*Event
+	live      int // queued events that are not cancelled
 	processed uint64
 	debugPool bool
+
+	cancelledPops uint64
+	rearms        uint64
+	staleSinks    uint64
+	maxHeapLen    int
+}
+
+// Stats are the scheduler's deterministic queue counters: for a given
+// program of calls they are the same on every machine, so cost can be
+// gated on them exactly where wall time is noise.
+type Stats struct {
+	Pushes        uint64 `json:"pushes"`         // entries pushed onto the heap
+	Pops          uint64 `json:"pops"`           // entries removed: fired plus cancelled
+	CancelledPops uint64 `json:"cancelled_pops"` // entries removed because their event was cancelled
+	Rearms        uint64 `json:"rearms"`         // Timer.Reset calls served in place, without a push
+	StaleSinks    uint64 `json:"stale_sinks"`    // re-armed entries sunk to their new key before firing
+	MaxHeapLen    int    `json:"max_heap_len"`   // largest heap length, cancelled entries included
+}
+
+// Stats returns the queue counters accumulated since NewScheduler.
+func (s *Scheduler) Stats() Stats {
+	return Stats{
+		// Every push and every in-place re-arm draws one sequence number.
+		Pushes:        s.seq - s.rearms,
+		Pops:          s.processed + s.cancelledPops,
+		CancelledPops: s.cancelledPops,
+		Rearms:        s.rearms,
+		StaleSinks:    s.staleSinks,
+		MaxHeapLen:    s.maxHeapLen,
+	}
 }
 
 // NewScheduler returns a Scheduler with the clock at zero and no pending
 // events.
 func NewScheduler() *Scheduler {
-	return &Scheduler{events: make(eventHeap, 0, 1024), debugPool: debugPoolEnv}
+	return &Scheduler{heap: make([]entry, 0, initialHeapCap), debugPool: debugPoolEnv}
 }
 
 // SetDebugPool enables (or disables) pool-ownership checking: releasing an
@@ -119,15 +199,7 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending (non-cancelled) events. Cancelled
 // events still in the heap are not counted.
-func (s *Scheduler) Len() int {
-	n := 0
-	for _, e := range s.events {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) Len() int { return s.live }
 
 // Processed returns the number of events executed so far. It is useful for
 // run-length accounting in benchmarks and runaway-simulation guards.
@@ -149,20 +221,27 @@ func (s *Scheduler) NextAt() (Time, bool) {
 	return 0, false
 }
 
+// checkFuture panics when t lies in the past: that is always a logic error
+// in a discrete-event model, and silently reordering the past would
+// destroy determinism.
+func (s *Scheduler) checkFuture(t Time) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+}
+
 // schedule takes an event off the free list (or allocates one), fills it,
 // and pushes it onto the heap. Bumping the generation at allocation time
 // invalidates every handle to the event's previous occupancy.
 func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
+	s.checkFuture(t)
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{}
+		e = &Event{sched: s}
 	}
 	e.gen++
 	e.pooled = false
@@ -172,9 +251,35 @@ func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle
 	e.fnArg = fnArg
 	e.arg = arg
 	e.canceled = false
+	e.queued = true
 	s.seq++
-	heap.Push(&s.events, e)
+	s.live++
+	s.push(entry{at: t, seq: e.seq, e: e})
 	return Handle{e: e, gen: e.gen}
+}
+
+// rearm moves the occurrence h refers to to time t without touching the
+// heap, and reports whether it could. It can while the occurrence's entry
+// is still queued (pending, or cancelled and not yet popped) and t is not
+// before the occurrence's current time, hence not before its entry's key:
+// the event takes (t, fresh seq) — exactly what cancel-and-schedule would
+// have given its replacement — and the entry keeps its older key until
+// peek finds it at the top and sinks it.
+func (s *Scheduler) rearm(h Handle, t Time) bool {
+	e := h.e
+	if !h.live() || !e.queued || t < e.at {
+		return false
+	}
+	s.checkFuture(t)
+	e.at = t
+	e.seq = s.seq
+	s.seq++
+	if e.canceled {
+		e.canceled = false
+		s.live++
+	}
+	s.rearms++
+	return true
 }
 
 // release returns a popped event to the free list, dropping callback and
@@ -227,28 +332,31 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func(any), arg any) Handle {
 // timestamp. It reports whether an event was executed (false means the
 // queue is empty).
 func (s *Scheduler) Step() bool {
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
-		if e.canceled {
-			s.release(e)
-			continue
-		}
-		s.now = e.at
-		s.processed++
-		fn, fnArg, arg := e.fn, e.fnArg, e.arg
-		// Recycle before running the callback: the event is logically
-		// finished, and the callback's own scheduling can then reuse the
-		// slot immediately — the common self-rearming pattern becomes a
-		// single-event round trip.
-		s.release(e)
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		return true
+	e := s.peek()
+	if e == nil {
+		return false
 	}
-	return false
+	s.fire(e)
+	return true
+}
+
+// fire executes e, which must be the event peek just returned.
+func (s *Scheduler) fire(e *Event) {
+	s.popTop()
+	s.live--
+	s.now = e.at
+	s.processed++
+	fn, fnArg, arg := e.fn, e.fnArg, e.arg
+	// Recycle before running the callback: the event is logically
+	// finished, and the callback's own scheduling can then reuse the
+	// slot immediately — the common self-rearming pattern becomes a
+	// single-event round trip.
+	s.release(e)
+	if fnArg != nil {
+		fnArg(arg)
+	} else {
+		fn()
+	}
 }
 
 // Run executes events until the queue is empty.
@@ -265,7 +373,7 @@ func (s *Scheduler) RunUntil(t Time) {
 		if e == nil || e.at > t {
 			break
 		}
-		s.Step()
+		s.fire(e)
 	}
 	if s.now < t {
 		s.now = t
@@ -292,59 +400,101 @@ func (s *Scheduler) RunUntilCond(limit Time, done func() bool) bool {
 			}
 			return false
 		}
-		s.Step()
+		s.fire(e)
 		if done() {
 			return true
 		}
 	}
 }
 
-// peek returns the next non-cancelled event without executing it, lazily
-// discarding cancelled entries from the top of the heap.
+// peek returns the next event to fire without executing it, leaving its
+// entry at the root of the heap. On the way it discards cancelled entries
+// and sinks re-armed ones: a root whose key is older than its event's
+// (at, seq) moves down to that key, so the entry peek finally returns has
+// the smallest event key in the queue (every other entry's event key is
+// at least its heap key, which is at least the root's).
 func (s *Scheduler) peek() *Event {
-	for len(s.events) > 0 {
-		if e := s.events[0]; e.canceled {
-			heap.Pop(&s.events)
+	for len(s.heap) > 0 {
+		top := s.heap[0]
+		e := top.e
+		switch {
+		case e.canceled:
+			s.popTop()
+			s.cancelledPops++
 			s.release(e)
-			continue
+		case top.seq != e.seq:
+			s.staleSinks++
+			s.siftDown(0, entry{at: e.at, seq: e.seq, e: e})
+		default:
+			return e
 		}
-		return s.events[0]
 	}
 	return nil
 }
 
-// eventHeap orders events by (time, insertion sequence). The sequence
-// tiebreak makes same-timestamp execution order equal to scheduling order,
-// which keeps simulations deterministic.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds x to the heap. x carries the largest sequence number drawn so
+// far, so it sorts before its parent only on a strictly smaller time.
+func (s *Scheduler) push(x entry) {
+	s.heap = append(s.heap, x)
+	h := s.heap
+	if len(h) > s.maxHeapLen {
+		s.maxHeapLen = len(h)
 	}
-	return h[i].seq < h[j].seq
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if x.at >= h[p].at {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// popTop removes the root entry.
+func (s *Scheduler) popTop() {
+	h := s.heap
+	n := len(h) - 1
+	h[0].e.queued = false
+	last := h[n]
+	h[n] = entry{}
+	s.heap = h[:n]
+	if n > 0 {
+		s.siftDown(0, last)
+	}
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// siftDown places x at or below the hole at index i, moving smaller
+// children up into the hole as it descends.
+func (s *Scheduler) siftDown(i int, x entry) {
+	h := s.heap
+	n := len(h)
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		if c+heapArity <= n {
+			// Full node: a two-round tournament, index arithmetic only
+			// (the &3 masks spare the bounds checks on k).
+			k := h[c : c+heapArity : c+heapArity]
+			a := k[1].lt(k[0])
+			b := 2 + k[3].lt(k[2])
+			m = c + a + (b-a)*k[b&3].lt(k[a&3])
+		} else {
+			for j := c + 1; j < n; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
+			}
+		}
+		if !h[m].less(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }

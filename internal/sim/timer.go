@@ -31,9 +31,16 @@ func NewTimer(sched *Scheduler, fn func()) *Timer {
 // allocates a closure.
 func timerFire(arg any) { arg.(*Timer).fn() }
 
-// Reset (re)arms the timer to fire at virtual time t, cancelling any
-// pending occurrence first.
+// Reset (re)arms the timer to fire at virtual time t, replacing any
+// pending occurrence. While the previous occurrence's queue entry is still
+// around and t is not before that entry's key — the RTO pattern, a
+// deadline pushed out on every ACK — the occurrence is moved in place (see
+// Scheduler.rearm); otherwise it is cancelled and a new one scheduled.
+// Both routes fire the callback at the same point of the event order.
 func (t *Timer) Reset(at Time) {
+	if t.sched.rearm(t.h, at) {
+		return
+	}
 	t.h.Cancel()
 	t.h = t.sched.AtFunc(at, timerFire, t)
 }

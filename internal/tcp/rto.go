@@ -115,6 +115,9 @@ func (e *RTOEstimator) HasSample() bool { return e.hasRTT }
 type SendTimes struct {
 	times map[int64]sim.Time
 	retx  map[int64]bool
+	// Every recorded sequence lies in [low, high), so Forget walks the
+	// sequences an ACK newly covers instead of the whole map.
+	low, high int64
 }
 
 // Sent records that seq was (re)transmitted at now.
@@ -122,6 +125,13 @@ func (t *SendTimes) Sent(seq int64, now sim.Time, isRetx bool) {
 	if t.times == nil {
 		t.times = make(map[int64]sim.Time)
 		t.retx = make(map[int64]bool)
+	}
+	if len(t.times) == 0 {
+		t.low, t.high = seq, seq+1
+	} else if seq < t.low {
+		t.low = seq
+	} else if seq >= t.high {
+		t.high = seq + 1
 	}
 	t.times[seq] = now
 	if isRetx {
@@ -151,10 +161,11 @@ func (t *SendTimes) WasRetx(seq int64) bool { return t.retx[seq] }
 
 // Forget drops every record below seq (they are cumulatively acked).
 func (t *SendTimes) Forget(below int64) {
-	for s := range t.times {
-		if s < below {
-			delete(t.times, s)
-			delete(t.retx, s)
-		}
+	if below > t.high {
+		below = t.high
+	}
+	for ; t.low < below; t.low++ {
+		delete(t.times, t.low)
+		delete(t.retx, t.low)
 	}
 }

@@ -124,6 +124,50 @@ func TestSendTimesKarn(t *testing.T) {
 	}
 }
 
+// Property: SendTimes with its [low, high) window answers exactly like
+// plain maps whose Forget scans every key, for any interleaving of sends
+// (forward, backward, far ahead, of already-forgotten sequences) and
+// forgets (below, inside, past the recorded range).
+func TestSendTimesMatchesMapScanProperty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		var st SendTimes
+		times, retx := map[int64]sim.Time{}, map[int64]bool{}
+		for i, o := range ops {
+			seq := int64(o>>2) % 64
+			switch o % 4 {
+			case 0, 1:
+				isRetx := o%4 == 1
+				st.Sent(seq, sim.Time(i), isRetx)
+				times[seq] = sim.Time(i)
+				if isRetx {
+					retx[seq] = true
+				}
+			default:
+				st.Forget(seq)
+				for s := range times {
+					if s < seq {
+						delete(times, s)
+						delete(retx, s)
+					}
+				}
+			}
+			for s := int64(-1); s <= 64; s++ {
+				at, ok := st.SentAt(s)
+				wantAt, wantOK := times[s]
+				if at != wantAt || ok != wantOK || st.WasRetx(s) != retx[s] {
+					t.Logf("op %d: seq %d: SentAt=(%v,%v) WasRetx=%v, want (%v,%v) %v",
+						i, s, at, ok, st.WasRetx(s), wantAt, wantOK, retx[s])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRTOTimerRearmMigration drives an RTOEstimator through a sim.Timer
 // the way a sender's retransmission timer does: every cumulative advance
 // re-arms the timer at now+RTO, and backoff pushes the deadline out. The
