@@ -125,7 +125,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 
 func BenchmarkAblationMemorize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAblationMemorize(benchDur)
+		res := experiments.RunAblationMemorize(benchDur, nil)
 		if len(res.Rows) != 2 {
 			b.Fatal("missing result")
 		}
@@ -134,7 +134,7 @@ func BenchmarkAblationMemorize(b *testing.B) {
 
 func BenchmarkAblationSendCwnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAblationSendCwnd(benchDur)
+		res := experiments.RunAblationSendCwnd(benchDur, nil)
 		if len(res.Rows) != 2 {
 			b.Fatal("missing result")
 		}
@@ -145,7 +145,7 @@ func BenchmarkAblationSendCwnd(b *testing.B) {
 // pipeline (trace a flow, extract samples, sweep beta).
 func BenchmarkExtThresholdSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.RunThresholdSweep(benchDur)
+		t := experiments.RunThresholdSweep(benchDur, nil)
 		if len(t.Rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -155,7 +155,7 @@ func BenchmarkExtThresholdSweep(b *testing.B) {
 // BenchmarkExtReorderProfile measures the reorder-quantification sweep.
 func BenchmarkExtReorderProfile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.RunReorderProfile(benchDur, 10*time.Millisecond)
+		pts := experiments.RunReorderProfile(benchDur, 10*time.Millisecond, nil)
 		if len(pts) != 5 {
 			b.Fatal("missing points")
 		}
@@ -166,7 +166,7 @@ func BenchmarkExtReorderProfile(b *testing.B) {
 // (the DiffServ scenario).
 func BenchmarkExtRobustnessCellJitter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunRobustness(benchDur)
+		res := experiments.RunRobustness(benchDur, nil)
 		if len(res.Rows) == 0 {
 			b.Fatal("no rows")
 		}

@@ -23,10 +23,10 @@
 // simulation cells (default: one per CPU); use -parallel 1 together with
 // -cpuprofile for cleanly attributable profiles.
 //
-// With -trace the trace-aware experiments (currently faultmatrix) also
-// write one Perfetto-loadable Chrome trace (<cell>.trace.json) and one
-// span TSV (<cell>.spans.tsv) per simulation cell into the directory; see
-// TRACING.md.
+// With -trace every simulation cell also writes one Perfetto-loadable
+// Chrome trace (<cell>.trace.json) and one span TSV (<cell>.spans.tsv)
+// into the directory; see TRACING.md. Each cell's manifest indexes every
+// companion file the cell wrote.
 //
 // -shards pins the sharded-city experiment (-run city) to one shard count
 // instead of its default 1-vs-4 scaling sweep; -repair pins the
@@ -37,12 +37,12 @@
 // -progress prints one start and one done line per simulation cell of the
 // parallel sweeps to stderr — a long -parallel run stops looking hung.
 // -heartbeat, -engine-profile, and -watchdog-timeout arm the
-// internal/engineobs telemetry stack on the experiments driving the
-// parallel engine (currently -run city): live progress beats (text on
+// internal/engineobs telemetry stack: live progress beats (text on
 // stderr, JSON lines in -metrics), per-shard window profiles with a
 // load-imbalance summary and Perfetto shard lanes (in -metrics), and a
 // stall watchdog that aborts a wedged cell with diagnostics instead of
-// hanging CI.
+// hanging CI. They target the parallel engine, so they need a -run that
+// drives it (city, or all).
 //
 // -check attaches the internal/invariant conformance oracle to every
 // simulation cell; any violation fails the run with a nonzero exit.
@@ -52,12 +52,18 @@
 // failed fuzz run prints. -flight-recorder arms the internal/span flight
 // recorder: during fuzz runs and seed replays every violation dumps the
 // causal trail of the implicated packet to stderr, and with -trace each
-// cell's dumps land in <cell>.flight.txt.
+// cell's dumps land in <cell>.flight.txt. It needs one of -trace, -fuzz
+// or -fuzz-seed.
+//
+// A contradictory or out-of-range flag set is rejected up front, one
+// "experiments:" line per problem on stderr and exit status 2, before any
+// file is created.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -66,35 +72,53 @@ import (
 	"tcppr/internal/experiments"
 	"tcppr/internal/invariant/fuzzer"
 	"tcppr/internal/profiling"
+	"tcppr/internal/runobs"
 )
 
-func main() {
-	runName := flag.String("run", "all", "experiment to run (see -list), or all")
-	fig := flag.Int("fig", 0, "shorthand: -fig 2 is -run fig2")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	quick := flag.Bool("quick", false, "use shortened simulation windows")
-	csvDir := flag.String("csv", "", "directory to write per-point CSV files into")
-	metricsDir := flag.String("metrics", "", "directory to write per-cell time series + run manifests into")
-	parallel := flag.Int("parallel", 0, "max concurrent simulation cells (0 = one per CPU)")
-	seed := flag.Int64("seed", 0, "base seed override for seeded experiments (0 = default)")
-	shards := flag.Int("shards", 0, "pin the city experiment to one shard count (0 = its default sweep)")
-	repair := flag.String("repair", "", "pin the repairmatrix experiment to one repair scenario (empty = its default sweep)")
-	check := flag.Bool("check", false, "attach the invariant oracle to every cell; violations fail the run")
-	fuzz := flag.Int("fuzz", 0, "run N randomized invariant-checked scenarios instead of experiments")
-	fuzzSeed := flag.Int64("fuzz-seed", 0, "replay one fuzz scenario by seed and report its violations")
-	traceDir := flag.String("trace", "", "directory to write per-cell Perfetto traces + span TSVs into (faultmatrix)")
-	flightRec := flag.Bool("flight-recorder", false, "arm the flight recorder: violations dump causal trails (with -trace or -fuzz/-fuzz-seed)")
-	heartbeat := flag.Duration("heartbeat", 0, "emit live engine heartbeats at this wall-clock interval (city; JSONL lands in -metrics)")
-	engineProfile := flag.Bool("engine-profile", false, "write per-shard window profiles + Perfetto shard lanes into -metrics (city)")
-	watchdogTimeout := flag.Duration("watchdog-timeout", 0, "abort a cell with diagnostics after this long without progress (0 disables)")
-	progress := flag.Bool("progress", false, "print per-cell start/done lines for parallel sweeps to stderr")
-	prof := profiling.Register()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: parse and validate args, run the selected
+// experiments, and return the exit status (0 ok, 1 a run failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runName := fs.String("run", "all", "experiment to run (see -list), or all")
+	fig := fs.Int("fig", 0, "shorthand: -fig 2 is -run fig2")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	quick := fs.Bool("quick", false, "use shortened simulation windows")
+	csvDir := fs.String("csv", "", "directory to write per-point CSV files into")
+	parallel := fs.Int("parallel", 0, "max concurrent simulation cells (0 = one per CPU)")
+	seed := fs.Int64("seed", 0, "base seed override for seeded experiments (0 = default)")
+	shards := fs.Int("shards", 0, "pin the city experiment to one shard count (0 = its default sweep)")
+	repair := fs.String("repair", "", "pin the repairmatrix experiment to one repair scenario (empty = its default sweep)")
+	fuzz := fs.Int("fuzz", 0, "run N randomized invariant-checked scenarios instead of experiments")
+	fuzzSeed := fs.Int64("fuzz-seed", 0, "replay one fuzz scenario by seed and report its violations")
+	progress := fs.Bool("progress", false, "print per-cell start/done lines for parallel sweeps to stderr")
+	obs := runobs.RegisterFlags(fs)
+	fs.StringVar(&obs.MetricsDir, "metrics", "", "directory to write per-cell time series + run manifests into")
+	fs.BoolVar(&obs.Check, "check", false, "attach the invariant oracle to every cell; violations fail the run")
+	fs.StringVar(&obs.TraceDir, "trace", "", "directory to write per-cell Perfetto traces + span TSVs into")
+	fs.BoolVar(&obs.FlightRecorder, "flight-recorder", false, "arm the flight recorder: violations dump causal trails (with -trace or -fuzz/-fuzz-seed)")
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
 
 	// Validate the whole flag set up front, reporting every problem at
 	// once (the tcpsim pattern): a bad invocation dies with a usage error
 	// here, not a panic halfway into an hour-long sweep.
-	var bad []string
+	if *fig != 0 {
+		*runName = fmt.Sprintf("fig%d", *fig)
+	}
+	drivesEngine := *runName == "city" || *runName == "all"
+	bad := obs.Problems(drivesEngine)
 	reject := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
 	if *parallel < 0 {
 		reject("-parallel cannot be negative, got %d", *parallel)
@@ -105,16 +129,13 @@ func main() {
 	if *fuzz < 0 {
 		reject("-fuzz cannot be negative, got %d", *fuzz)
 	}
-	if *heartbeat < 0 {
-		reject("-heartbeat cannot be negative, got %v", *heartbeat)
+	if (obs.Heartbeat > 0 || obs.WatchdogTimeout > 0) && !drivesEngine {
+		reject("-heartbeat/-watchdog-timeout watch the parallel engine; -run %s never drives it (use -run city or all)", *runName)
 	}
-	if *watchdogTimeout < 0 {
-		reject("-watchdog-timeout cannot be negative, got %v", *watchdogTimeout)
+	if obs.FlightRecorder && obs.TraceDir == "" && *fuzz == 0 && *fuzzSeed == 0 {
+		reject("-flight-recorder needs somewhere to dump: add -trace, -fuzz or -fuzz-seed")
 	}
-	if *engineProfile && *metricsDir == "" {
-		reject("-engine-profile needs -metrics for somewhere to write the profiles")
-	}
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "csv", "metrics", "trace":
 			if f.Value.String() == "" {
@@ -124,152 +145,118 @@ func main() {
 	})
 	if len(bad) > 0 {
 		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "experiments:", msg)
+			fmt.Fprintln(stderr, "experiments:", msg)
 		}
-		fmt.Fprintln(os.Stderr, "usage: see experiments -h")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: see experiments -h")
+		return 2
 	}
 
 	if *list {
 		for _, s := range experiments.Registry() {
-			fmt.Printf("  %-18s %s\n", s.Name, s.Describe)
+			fmt.Fprintf(stdout, "  %-18s %s\n", s.Name, s.Describe)
 		}
-		return
+		return 0
+	}
+	if *fuzzSeed != 0 || *fuzz > 0 {
+		return runFuzz(*fuzz, *fuzzSeed, *seed, obs.FlightRecorder, stdout, stderr)
 	}
 
-	if *fuzzSeed != 0 {
-		replayFuzz(*fuzzSeed, *flightRec)
-		return
-	}
-	if *fuzz > 0 {
-		runFuzz(*fuzz, *seed, *flightRec)
-		return
-	}
-
-	if *fig != 0 {
-		*runName = fmt.Sprintf("fig%d", *fig)
-	}
-	experiments.SetParallelism(*parallel)
-	if *progress {
-		// One sink shared by every worker goroutine; SyncWriter keeps the
-		// lines whole under -parallel.
-		pw := engineobs.NewSyncWriter(os.Stderr)
-		experiments.SetProgress(func(format string, args ...any) {
-			fmt.Fprintf(pw, "experiments: "+format+"\n", args...)
-		})
-	}
-
-	cfg := experiments.RunConfig{Seed: *seed, Shards: *shards, Repair: *repair, CheckInvariants: *check}
-	if *heartbeat > 0 || *engineProfile || *watchdogTimeout > 0 {
-		cfg.Engine = &experiments.EngineOptions{
-			Profile:         *engineProfile,
-			Heartbeat:       *heartbeat,
-			WatchdogTimeout: *watchdogTimeout,
-			Dir:             *metricsDir,
-			Text:            os.Stderr,
-		}
-	}
-	if *quick {
-		cfg.Durations = experiments.Quick
-	}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatal(err)
-		}
-		cfg.CSVDir = *csvDir
-	}
-	if *metricsDir != "" {
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fatal(err)
-		}
-		cfg.Metrics = &experiments.MetricsOptions{Dir: *metricsDir}
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fatal(err)
-		}
-		cfg.Trace = &experiments.TraceOptions{Dir: *traceDir, FlightRecorder: *flightRec}
-	}
-
-	var specs []experiments.Spec
-	if *runName == "all" {
-		specs = experiments.Registry()
-	} else {
+	specs := experiments.Registry()
+	if *runName != "all" {
 		s, ok := experiments.Lookup(*runName)
 		if !ok {
-			fatal(fmt.Errorf("unknown experiment %q (valid: %s, all)",
+			return fail(fmt.Errorf("unknown experiment %q (valid: %s, all)",
 				*runName, strings.Join(experiments.Names(), ", ")))
 		}
 		specs = []experiments.Spec{s}
 	}
+	// Fail on an uncreatable output directory now, not after the sweep.
+	for _, dir := range []string{*csvDir, obs.MetricsDir, obs.TraceDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return fail(err)
+			}
+		}
+	}
+
+	experiments.SetParallelism(*parallel)
+	if *progress {
+		// One sink shared by every worker goroutine; SyncWriter keeps the
+		// lines whole under -parallel.
+		pw := engineobs.NewSyncWriter(stderr)
+		experiments.SetProgress(func(format string, args ...any) {
+			fmt.Fprintf(pw, "experiments: "+format+"\n", args...)
+		})
+		defer experiments.SetProgress(nil)
+	}
+	obs.Stderr = stderr
+	cfg := experiments.RunConfig{
+		Seed: *seed, Shards: *shards, Repair: *repair, CSVDir: *csvDir,
+		Obs: runobs.NewSession(*obs),
+	}
+	if *quick {
+		cfg.Durations = experiments.Quick
+	}
 
 	stopProf, err := prof.Start()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
 	for _, s := range specs {
 		start := time.Now()
 		rep, err := s.Run(cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", s.Name, err))
+			return fail(fmt.Errorf("%s: %w", s.Name, err))
 		}
 		for _, t := range rep.Tables() {
-			printTable(t, start)
+			if err := t.Fprint(stdout); err != nil {
+				return fail(err)
+			}
+			fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", firstWord(t.Title), time.Since(start).Seconds())
 		}
 	}
-
 	if err := stopProf(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
-// runFuzz runs a fuzzing campaign of n randomized scenarios. Any
-// violation prints with the scenario's replay seed and exits nonzero.
-func runFuzz(n int, seed int64, flightRec bool) {
+// runFuzz runs a fuzzing campaign of n randomized scenarios, or — with
+// replay set — re-runs the single scenario a failed campaign named by its
+// seed. Violations go to stderr (with the flight recorder armed, each one
+// also dumps the causal trail of the implicated packet) and exit 1.
+func runFuzz(n int, replay, seed int64, flightRec bool, stdout, stderr io.Writer) int {
 	cfg := fuzzer.Config{
 		Runs: n,
 		Seed: seed,
-		Log:  func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+		Log:  func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) },
 	}
 	if flightRec {
-		cfg.FlightRecorder = os.Stderr
+		cfg.FlightRecorder = stderr
+	}
+	if replay != 0 {
+		desc, c := fuzzer.RunOne(replay, cfg)
+		fmt.Fprintf(stdout, "seed %d: %s\n", replay, desc)
+		if c.Total() == 0 {
+			fmt.Fprintln(stdout, "no violations")
+			return 0
+		}
+		for _, v := range c.Violations() {
+			fmt.Fprintln(stderr, "  "+v.String())
+		}
+		fmt.Fprintf(stderr, "experiments: %d violation(s)\n", c.Total())
+		return 1
 	}
 	res := fuzzer.Run(cfg)
 	if err := res.Err(); err != nil {
 		for _, f := range res.Failures {
-			fmt.Fprintln(os.Stderr, f.String())
+			fmt.Fprintln(stderr, f.String())
 		}
-		fatal(err)
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
 	}
-	fmt.Printf("fuzz: %d scenarios, 0 violations\n", res.Runs)
-}
-
-// replayFuzz re-runs the single scenario identified by seed and reports
-// every violation the oracle records. With the flight recorder armed, each
-// violation also dumps the causal trail of the implicated packet.
-func replayFuzz(seed int64, flightRec bool) {
-	cfg := fuzzer.Config{}
-	if flightRec {
-		cfg.FlightRecorder = os.Stderr
-	}
-	desc, c := fuzzer.RunOne(seed, cfg)
-	fmt.Printf("seed %d: %s\n", seed, desc)
-	if c.Total() == 0 {
-		fmt.Println("no violations")
-		return
-	}
-	for _, v := range c.Violations() {
-		fmt.Fprintln(os.Stderr, "  "+v.String())
-	}
-	fatal(fmt.Errorf("%d violation(s)", c.Total()))
-}
-
-func printTable(t *experiments.Table, start time.Time) {
-	if err := t.Fprint(os.Stdout); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("(%s in %.1fs)\n\n", firstWord(t.Title), time.Since(start).Seconds())
+	fmt.Fprintf(stdout, "fuzz: %d scenarios, 0 violations\n", res.Runs)
+	return 0
 }
 
 func firstWord(s string) string {
@@ -277,9 +264,4 @@ func firstWord(s string) string {
 		return s[:i]
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

@@ -22,29 +22,38 @@
 // -check attaches the internal/invariant conformance oracle to the run;
 // any violation is printed and the process exits nonzero.
 //
+// -metrics, -trace, -trace-tsv, -flight-recorder, -heartbeat,
+// -engine-profile and -watchdog-timeout are one telemetry request
+// (internal/runobs): the run manifest written into -metrics indexes every
+// other file the run left behind. The trace flags need a single
+// sequential network (not city); the -abort-* policy is installed on
+// dumbbell|parkinglot flows only; -engine-profile needs city and -metrics.
+// The flight-recorder file is created by its first dump, so a clean run
+// leaves none.
+//
 // Contradictory or out-of-range flag combinations (negative durations,
 // zero flows, -abort-r1 above -abort-r2, an impairment on a topology
-// without a bottleneck, an output flag set to an empty path, …) are
-// rejected up front with a usage error on stderr and exit status 2 —
-// never a mid-run panic.
+// without a bottleneck, a telemetry flag the chosen topology would
+// ignore, an output flag set to an empty path, …) are rejected up front
+// with one "tcpsim:" line per problem on stderr and exit status 2 —
+// never a mid-run panic, and before any file is created.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"tcppr/internal/engineobs"
 	"tcppr/internal/faults"
-	"tcppr/internal/invariant"
-	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
 	"tcppr/internal/profiling"
 	"tcppr/internal/psim"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -52,151 +61,225 @@ import (
 	"tcppr/internal/workload"
 )
 
-func main() {
-	topology := flag.String("topology", "dumbbell", "dumbbell|parkinglot|multipath")
-	protocols := flag.String("protocols", "TCP-PR,TCP-SACK", "comma-separated protocol cycle for the flows")
-	flows := flag.Int("flows", 8, "number of flows (dumbbell/parkinglot)")
-	duration := flag.Duration("duration", 60*time.Second, "measurement window")
-	warm := flag.Duration("warm", 30*time.Second, "warm-up before measuring")
-	eps := flag.Float64("eps", 0, "multipath epsilon (multipath topology)")
-	delay := flag.Duration("delay", 10*time.Millisecond, "per-link delay (multipath topology)")
-	alpha := flag.Float64("alpha", 0.995, "TCP-PR alpha")
-	beta := flag.Float64("beta", 3.0, "TCP-PR beta")
-	seed := flag.Int64("seed", 42, "random seed")
-	shards := flag.Int("shards", 1, "shard count for the parallel engine (city topology)")
-	districts := flag.Int("districts", 8, "city districts (city topology)")
-	hosts := flag.Int("hosts", 16, "hosts per district (city topology)")
-	sources := flag.Int("sources", 1, "on/off sources per host (city topology)")
-	metricsDir := flag.String("metrics", "", "directory to write time series + a run manifest into")
-	faultName := flag.String("faults", "", "canned fault scenario to inject at the bottleneck ('list' to enumerate)")
-	faultAt := flag.Duration("fault-at", 5*time.Second, "when the fault scenario's disruption begins")
-	hostFaultName := flag.String("host-faults", "", "canned host scenario to inject at the first destination host ('list' to enumerate)")
-	reorderName := flag.String("reorder", "", "canned reorder model to install on the bottleneck ('list' to enumerate)")
-	jitter := flag.Duration("jitter", 0, "uniform random extra delay on the bottleneck (dumbbell|parkinglot)")
-	repairName := flag.String("repair", "", "canned repair-middlebox scenario on the bottleneck ('list' to enumerate)")
-	abortR1 := flag.Int("abort-r1", 0, "RFC 1122 R1: consecutive timeouts before notifying (0 disables)")
-	abortR2 := flag.Int("abort-r2", 0, "RFC 1122 R2: consecutive timeouts before aborting the connection (0 disables)")
-	abortUser := flag.Duration("abort-user-timeout", 0, "abort after this long without forward progress (0 disables)")
-	check := flag.Bool("check", false, "attach the invariant oracle; violations fail the run")
-	heartbeat := flag.Duration("heartbeat", 0, "emit live progress heartbeats at this wall-clock interval (0 disables; JSONL lands next to -metrics)")
-	engineProfile := flag.Bool("engine-profile", false, "write the psim window profiler's TSV/JSON + Perfetto shard lanes next to the metrics manifest (city topology, needs -metrics)")
-	watchdogTimeout := flag.Duration("watchdog-timeout", 0, "abort with diagnostics after this long without simulation progress (0 disables)")
-	traceJSON := flag.String("trace", "", "write a Perfetto-loadable Chrome trace (ui.perfetto.dev) to this file")
-	traceTSV := flag.String("trace-tsv", "", "write the hop-level span TSV to this file")
-	flightPath := flag.String("flight-recorder", "", "arm the flight recorder; dumps (violations, panics) go to this file")
-	prof := profiling.Register()
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *faultName == "list" {
-		for _, sc := range faults.Scenarios() {
-			fmt.Printf("%-12s %s\n", sc.Name, sc.Description)
+// scenario is the parsed command line: what to simulate, the impairments
+// to inject, and the telemetry request.
+type scenario struct {
+	topology  string
+	protos    []string
+	flows     int
+	warm, dur time.Duration
+	eps       float64
+	delay     time.Duration
+	pr        workload.PRParams
+	seed      int64
+	shards    int
+	city      topo.CityConfig
+	sources   int
+	linkFault string
+	hostFault string
+	faultAt   time.Duration
+	reorder   string
+	jitter    time.Duration
+	repair    string
+	abort     tcp.AbortConfig
+	obs       *runobs.Options
+	out, errw io.Writer
+}
+
+// run is the whole command: parse and validate args, run the scenario,
+// and return the exit status (0 ok, 1 the run failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	sc := scenario{out: stdout, errw: stderr}
+	fs := flag.NewFlagSet("tcpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&sc.topology, "topology", "dumbbell", "dumbbell|parkinglot|multipath|city")
+	protocols := fs.String("protocols", "TCP-PR,TCP-SACK", "comma-separated protocol cycle for the flows")
+	fs.IntVar(&sc.flows, "flows", 8, "number of flows (dumbbell/parkinglot)")
+	fs.DurationVar(&sc.dur, "duration", 60*time.Second, "measurement window")
+	fs.DurationVar(&sc.warm, "warm", 30*time.Second, "warm-up before measuring")
+	fs.Float64Var(&sc.eps, "eps", 0, "multipath epsilon (multipath topology)")
+	fs.DurationVar(&sc.delay, "delay", 10*time.Millisecond, "per-link delay (multipath topology)")
+	fs.Float64Var(&sc.pr.Alpha, "alpha", 0.995, "TCP-PR alpha")
+	fs.Float64Var(&sc.pr.Beta, "beta", 3.0, "TCP-PR beta")
+	fs.Int64Var(&sc.seed, "seed", 42, "random seed")
+	fs.IntVar(&sc.shards, "shards", 1, "shard count for the parallel engine (city topology)")
+	fs.IntVar(&sc.city.Districts, "districts", 8, "city districts (city topology)")
+	fs.IntVar(&sc.city.HostsPerDistrict, "hosts", 16, "hosts per district (city topology)")
+	fs.IntVar(&sc.sources, "sources", 1, "on/off sources per host (city topology)")
+	fs.StringVar(&sc.linkFault, "faults", "", "canned fault scenario to inject at the bottleneck ('list' to enumerate)")
+	fs.DurationVar(&sc.faultAt, "fault-at", 5*time.Second, "when the fault scenario's disruption begins")
+	fs.StringVar(&sc.hostFault, "host-faults", "", "canned host scenario to inject at the first destination host ('list' to enumerate)")
+	fs.StringVar(&sc.reorder, "reorder", "", "canned reorder model to install on the bottleneck ('list' to enumerate)")
+	fs.DurationVar(&sc.jitter, "jitter", 0, "uniform random extra delay on the bottleneck (dumbbell|parkinglot)")
+	fs.StringVar(&sc.repair, "repair", "", "canned repair-middlebox scenario on the bottleneck ('list' to enumerate)")
+	fs.IntVar(&sc.abort.R1, "abort-r1", 0, "RFC 1122 R1: consecutive timeouts before notifying (0 disables)")
+	fs.IntVar(&sc.abort.R2, "abort-r2", 0, "RFC 1122 R2: consecutive timeouts before aborting the connection (0 disables)")
+	fs.DurationVar(&sc.abort.UserTimeout, "abort-user-timeout", 0, "abort after this long without forward progress (0 disables)")
+	sc.obs = runobs.RegisterFlags(fs)
+	fs.StringVar(&sc.obs.MetricsDir, "metrics", "", "directory to write time series + a run manifest into")
+	fs.BoolVar(&sc.obs.Check, "check", false, "attach the invariant oracle; violations fail the run")
+	fs.StringVar(&sc.obs.TraceJSON, "trace", "", "write a Perfetto-loadable Chrome trace (ui.perfetto.dev) to this file")
+	fs.StringVar(&sc.obs.TraceTSV, "trace-tsv", "", "write the hop-level span TSV to this file")
+	fs.StringVar(&sc.obs.FlightFile, "flight-recorder", "", "arm the flight recorder; dumps (violations, panics) go to this file")
+	prof := profiling.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		return
+		return 2
 	}
-	if *hostFaultName == "list" {
-		for _, sc := range faults.HostScenarios() {
-			fmt.Printf("%-16s %s\n", sc.Name, sc.Description)
-		}
-		return
+	sc.obs.Stdout, sc.obs.Stderr = stdout, stderr
+
+	if listed := sc.list(); listed {
+		return 0
 	}
-	if *reorderName == "list" {
-		for _, sc := range netem.ReorderScenarios() {
-			fmt.Printf("%-12s %s\n", sc.Name, sc.Describe)
+	if bad := sc.problems(fs, *protocols); len(bad) > 0 {
+		for _, msg := range bad {
+			fmt.Fprintln(stderr, "tcpsim:", msg)
 		}
-		return
-	}
-	if *repairName == "list" {
-		for _, sc := range netem.RepairScenarios() {
-			fmt.Printf("%-14s %s\n", sc.Name, sc.Describe)
-		}
-		return
+		fmt.Fprintln(stderr, "usage: see tcpsim -h")
+		return 2
 	}
 
-	// Validate the whole flag set up front and report every problem at
-	// once: a bad invocation must die with a usage error here, not as a
-	// panic halfway into the run.
-	var bad []string
+	stopProf, err := prof.Start()
+	if err == nil {
+		switch sc.topology {
+		case "dumbbell", "parkinglot":
+			err = sc.runShared()
+		case "multipath":
+			err = sc.runMultipath()
+		case "city":
+			err = sc.runCity()
+		}
+	}
+	if err == nil {
+		err = stopProf()
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "tcpsim:", err)
+		return 1
+	}
+	return 0
+}
+
+// list serves the four "'list' to enumerate" catalogs.
+func (sc *scenario) list() bool {
+	switch {
+	case sc.linkFault == "list":
+		for _, s := range faults.Scenarios() {
+			fmt.Fprintf(sc.out, "%-12s %s\n", s.Name, s.Description)
+		}
+	case sc.hostFault == "list":
+		for _, s := range faults.HostScenarios() {
+			fmt.Fprintf(sc.out, "%-16s %s\n", s.Name, s.Description)
+		}
+	case sc.reorder == "list":
+		for _, s := range netem.ReorderScenarios() {
+			fmt.Fprintf(sc.out, "%-12s %s\n", s.Name, s.Describe)
+		}
+	case sc.repair == "list":
+		for _, s := range netem.RepairScenarios() {
+			fmt.Fprintf(sc.out, "%-14s %s\n", s.Name, s.Describe)
+		}
+	default:
+		return false
+	}
+	return true
+}
+
+// problems validates the whole flag set up front and reports every
+// problem at once: a bad invocation must die with a usage error here, not
+// as a panic halfway into the run, and a flag the chosen topology would
+// silently ignore is a bad invocation.
+func (sc *scenario) problems(fs *flag.FlagSet, protocols string) []string {
+	bad := sc.obs.Problems(sc.topology == "city")
 	reject := func(format string, args ...any) { bad = append(bad, fmt.Sprintf(format, args...)) }
-	switch *topology {
+	switch sc.topology {
 	case "dumbbell", "parkinglot", "multipath", "city":
 	default:
-		reject("unknown topology %q (dumbbell|parkinglot|multipath|city)", *topology)
+		reject("unknown topology %q (dumbbell|parkinglot|multipath|city)", sc.topology)
 	}
-	hasBottleneck := *topology == "dumbbell" || *topology == "parkinglot"
-	protos := strings.Split(*protocols, ",")
-	for i := range protos {
-		protos[i] = strings.TrimSpace(protos[i])
-		if !workload.Known(protos[i]) {
-			reject("unknown protocol %q (known: %s)", protos[i], strings.Join(workload.AllProtocols(), ", "))
+	hasBottleneck := sc.topology == "dumbbell" || sc.topology == "parkinglot"
+	for _, p := range strings.Split(protocols, ",") {
+		p = strings.TrimSpace(p)
+		if !workload.Known(p) {
+			reject("unknown protocol %q (known: %s)", p, strings.Join(workload.AllProtocols(), ", "))
 		}
+		sc.protos = append(sc.protos, p)
 	}
-	if *flows < 1 {
-		reject("-flows must be at least 1, got %d", *flows)
+	if sc.flows < 1 {
+		reject("-flows must be at least 1, got %d", sc.flows)
 	}
-	if *duration <= 0 {
-		reject("-duration must be positive, got %v", *duration)
+	if sc.dur <= 0 {
+		reject("-duration must be positive, got %v", sc.dur)
 	}
-	if *warm < 0 {
-		reject("-warm cannot be negative, got %v", *warm)
+	if sc.warm < 0 {
+		reject("-warm cannot be negative, got %v", sc.warm)
 	}
-	if *eps < 0 || *eps > 1 {
-		reject("-eps must be a probability in [0,1], got %g", *eps)
+	if sc.eps < 0 || sc.eps > 1 {
+		reject("-eps must be a probability in [0,1], got %g", sc.eps)
 	}
-	if *delay <= 0 {
-		reject("-delay must be positive, got %v", *delay)
+	if sc.delay <= 0 {
+		reject("-delay must be positive, got %v", sc.delay)
 	}
-	if *alpha <= 0 || *alpha >= 1 {
-		reject("-alpha must lie in (0,1), got %g", *alpha)
+	if sc.pr.Alpha <= 0 || sc.pr.Alpha >= 1 {
+		reject("-alpha must lie in (0,1), got %g", sc.pr.Alpha)
 	}
-	if *beta < 1 {
-		reject("-beta must be at least 1, got %g", *beta)
+	if sc.pr.Beta < 1 {
+		reject("-beta must be at least 1, got %g", sc.pr.Beta)
 	}
-	if *shards < 1 || *districts < 1 || *hosts < 1 || *sources < 1 {
+	if sc.shards < 1 || sc.city.Districts < 1 || sc.city.HostsPerDistrict < 1 || sc.sources < 1 {
 		reject("-shards/-districts/-hosts/-sources must all be at least 1")
 	}
-	if *faultAt < 0 {
-		reject("-fault-at cannot be negative, got %v", *faultAt)
+	if sc.faultAt < 0 {
+		reject("-fault-at cannot be negative, got %v", sc.faultAt)
 	}
-	if *abortR1 < 0 || *abortR2 < 0 || *abortUser < 0 {
+	if sc.abort.R1 < 0 || sc.abort.R2 < 0 || sc.abort.UserTimeout < 0 {
 		reject("abort thresholds cannot be negative")
 	}
-	if *abortR1 > 0 && *abortR2 > 0 && *abortR1 > *abortR2 {
-		reject("-abort-r1 (%d) must not exceed -abort-r2 (%d): R1 warns before R2 aborts", *abortR1, *abortR2)
+	if sc.abort.R1 > 0 && sc.abort.R2 > 0 && sc.abort.R1 > sc.abort.R2 {
+		reject("-abort-r1 (%d) must not exceed -abort-r2 (%d): R1 warns before R2 aborts", sc.abort.R1, sc.abort.R2)
 	}
-	if *jitter < 0 {
-		reject("-jitter cannot be negative, got %v", *jitter)
+	if sc.abort != (tcp.AbortConfig{}) && !hasBottleneck {
+		reject("-abort-r1/-abort-r2/-abort-user-timeout apply to dumbbell|parkinglot flows only")
 	}
-	if *reorderName != "" {
-		if _, err := netem.ReorderScenarioByName(*reorderName); err != nil {
+	if sc.jitter < 0 {
+		reject("-jitter cannot be negative, got %v", sc.jitter)
+	}
+	if sc.reorder != "" {
+		if _, err := netem.ReorderScenarioByName(sc.reorder); err != nil {
 			reject("%v", err)
 		}
 	}
-	if *repairName != "" {
-		if _, err := netem.RepairScenarioByName(*repairName); err != nil {
+	if sc.repair != "" {
+		if _, err := netem.RepairScenarioByName(sc.repair); err != nil {
 			reject("%v", err)
 		}
 	}
-	if (*reorderName != "" || *jitter > 0 || *repairName != "") && !hasBottleneck {
+	if (sc.reorder != "" || sc.jitter > 0 || sc.repair != "") && !hasBottleneck {
 		reject("-reorder/-jitter/-repair need a bottleneck link; they support dumbbell|parkinglot only")
 	}
-	if (*faultName != "" || *hostFaultName != "") && !hasBottleneck {
+	if sc.linkFault != "" {
+		if _, err := faults.ScenarioByName(sc.linkFault); err != nil {
+			reject("%v", err)
+		}
+	}
+	if sc.hostFault != "" {
+		if _, err := faults.HostScenarioByName(sc.hostFault); err != nil {
+			reject("%v", err)
+		}
+	}
+	if (sc.linkFault != "" || sc.hostFault != "") && !hasBottleneck {
 		reject("-faults/-host-faults support dumbbell|parkinglot only")
 	}
-	if *heartbeat < 0 {
-		reject("-heartbeat cannot be negative, got %v", *heartbeat)
-	}
-	if *watchdogTimeout < 0 {
-		reject("-watchdog-timeout cannot be negative, got %v", *watchdogTimeout)
-	}
-	if *engineProfile && *topology != "city" {
-		reject("-engine-profile profiles the parallel engine's barrier windows; it supports the city topology only")
-	}
-	if *engineProfile && *metricsDir == "" {
-		reject("-engine-profile needs -metrics for somewhere to write the profile")
+	if o := sc.obs; (o.TraceJSON != "" || o.TraceTSV != "" || o.FlightFile != "") && sc.topology == "city" {
+		reject("-trace/-trace-tsv/-flight-recorder trace one sequential network; the city topology runs one per shard")
 	}
 	// An output flag explicitly set to "" silently discards its artifact;
 	// catch the contradiction instead of running for nothing.
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "metrics", "trace", "trace-tsv", "flight-recorder":
 			if f.Value.String() == "" {
@@ -204,88 +287,48 @@ func main() {
 			}
 		}
 	})
-	if len(bad) > 0 {
-		for _, msg := range bad {
-			fmt.Fprintln(os.Stderr, "tcpsim:", msg)
+	return bad
+}
+
+// verdict reports the invariant oracle's outcome for one finished run.
+func (sc *scenario) verdict(ses *runobs.Session) error {
+	if !sc.obs.Check {
+		return nil
+	}
+	if err := ses.Err(); err != nil {
+		for _, f := range ses.Failures() {
+			for _, v := range f.Violations {
+				fmt.Fprintln(sc.errw, "  "+v.String())
+			}
 		}
-		fmt.Fprintln(os.Stderr, "usage: see tcpsim -h")
-		os.Exit(2)
+		return err
 	}
-	pr := workload.PRParams{Alpha: *alpha, Beta: *beta}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fatalErr(err)
-	}
-
-	paths := tracePaths{json: *traceJSON, tsv: *traceTSV, flight: *flightPath}
-	fi := faultInject{
-		link: *faultName, host: *hostFaultName, at: *faultAt,
-		reorder: *reorderName, jitter: *jitter, repair: *repairName,
-		abort: tcp.AbortConfig{R1: *abortR1, R2: *abortR2, UserTimeout: *abortUser},
-	}
-	eo := engineObsFlags{
-		heartbeat: *heartbeat, watchdog: *watchdogTimeout,
-		profile: *engineProfile, dir: *metricsDir,
-	}
-	switch *topology {
-	case "dumbbell", "parkinglot":
-		runShared(*topology, protos, *flows, pr, *warm, *duration, *metricsDir, fi, *seed, *check, paths, eo)
-	case "multipath":
-		runMultipath(protos, pr, *eps, *delay, *seed, *warm, *duration, *metricsDir, *check, paths, eo)
-	case "city":
-		runCity(*shards, *districts, *hosts, *sources, *duration, *seed, *check, eo)
-	}
-
-	if err := stopProf(); err != nil {
-		fatalErr(err)
-	}
+	fmt.Fprintln(sc.out, "invariants: ok (0 violations)")
+	return nil
 }
 
-// tracePaths carries the -trace/-trace-tsv/-flight-recorder output files.
-type tracePaths struct {
-	json, tsv, flight string
-}
-
-// suffixed returns a copy with the suffix inserted before each extension
-// (multipath mode: one simulation, and file set, per protocol).
-func (p tracePaths) suffixed(s string) tracePaths {
-	return tracePaths{json: suffixPath(p.json, s), tsv: suffixPath(p.tsv, s), flight: suffixPath(p.flight, s)}
-}
-
-// faultInject bundles the CLI's impairment knobs: an optional link fault
-// scenario at the bottleneck, an optional host scenario at the first
-// destination, an optional reorder model and jitter on the bottleneck's
-// data direction, and the abort policy installed on every measurement
-// flow.
-type faultInject struct {
-	link, host string
-	at         time.Duration
-	reorder    string
-	jitter     time.Duration
-	repair     string
-	abort      tcp.AbortConfig
-}
-
-func runShared(topology string, protos []string, n int, pr workload.PRParams, warm, dur time.Duration, metricsDir string, fi faultInject, seed int64, check bool, paths tracePaths, eo engineObsFlags) {
+func (sc *scenario) runShared() error {
 	sched := sim.NewScheduler()
+	n := sc.flows
 	var flowsOut []*workload.Flow
 	var bottlenecks []*netem.Link
 	var network *netem.Network
 	var firstDst *netem.Node
 	starts := workload.StaggeredStarts(n, 0, 5*time.Second)
+	add := func(f *tcp.Flow, i int) {
+		f.AbortPolicy = sc.abort
+		flowsOut = append(flowsOut, workload.NewFlow(f, sc.protos[i%len(sc.protos)], sc.pr, starts[i]))
+	}
 
-	switch topology {
+	switch sc.topology {
 	case "dumbbell":
 		d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: n})
 		network = d.Net
 		bottlenecks = []*netem.Link{d.Bottleneck}
 		firstDst = d.Dst(0)
 		for i := 0; i < n; i++ {
-			f := tcp.NewFlow(d.Net, i+1, d.Src(i), d.Dst(i),
-				routing.Static{Path: d.FwdPath(i)}, routing.Static{Path: d.RevPath(i)})
-			f.AbortPolicy = fi.abort
-			flowsOut = append(flowsOut, workload.NewFlow(f, protos[i%len(protos)], pr, starts[i]))
+			add(tcp.NewFlow(d.Net, i+1, d.Src(i), d.Dst(i),
+				routing.Static{Path: d.FwdPath(i)}, routing.Static{Path: d.RevPath(i)}), i)
 		}
 	case "parkinglot":
 		p := topo.NewParkingLot(sched, n, 0)
@@ -295,397 +338,173 @@ func runShared(topology string, protos []string, n int, pr workload.PRParams, wa
 		}
 		firstDst = p.Dst(0)
 		for i := 0; i < n; i++ {
-			f := tcp.NewFlow(p.Net, i+1, p.Src(i), p.Dst(i),
-				routing.Static{Path: p.MainFwd(i)}, routing.Static{Path: p.MainRev(i)})
-			f.AbortPolicy = fi.abort
-			flowsOut = append(flowsOut, workload.NewFlow(f, protos[i%len(protos)], pr, starts[i]))
+			add(tcp.NewFlow(p.Net, i+1, p.Src(i), p.Dst(i),
+				routing.Static{Path: p.MainFwd(i)}, routing.Static{Path: p.MainRev(i)}), i)
 		}
 		for i, cp := range topo.CrossPairs() {
 			f := tcp.NewFlow(p.Net, 10_000+i, p.Net.Node(cp.Src), p.Net.Node(cp.Dst),
 				routing.Static{Path: p.CrossFwd(cp)}, routing.Static{Path: p.CrossRev(cp)})
-			workload.NewFlow(f, workload.TCPSACK, pr, 0)
+			workload.NewFlow(f, workload.TCPSACK, sc.pr, 0)
 		}
 	}
+	fwd := bottlenecks[0]
 
 	// Persistent impairments on the bottleneck's data direction: a canned
 	// reorder model (its RNG on a split seed stream, so adding -jitter
 	// never perturbs the permutation) and/or jitter via the Impairment
-	// seam. Validation already guaranteed the names resolve.
-	if fi.reorder != "" {
-		sc, err := netem.ReorderScenarioByName(fi.reorder)
-		if err != nil {
-			fatalErr(err)
+	// seam. problems() already vouched for every catalog name.
+	name := "tcpsim_" + sc.topology
+	for _, part := range []string{sc.linkFault, sc.hostFault, sc.reorder, sc.repair} {
+		if part != "" {
+			name += "_" + part
 		}
-		if m := sc.New(sim.NewRand(sim.SplitSeed(seed, 101))); m != nil {
-			bottlenecks[0].SetReorderModel(m)
-		}
-		fmt.Printf("reorder: model %q on %s (%s)\n\n", sc.Name, bottlenecks[0], sc.Describe)
 	}
-	if fi.jitter > 0 {
-		bottlenecks[0].SetImpairment(netem.NewJitter(fi.jitter, sim.NewRand(sim.SplitSeed(seed, 102))))
+	if sc.reorder != "" {
+		rs, _ := netem.ReorderScenarioByName(sc.reorder)
+		if m := rs.New(sim.NewRand(sim.SplitSeed(sc.seed, 101))); m != nil {
+			fwd.SetReorderModel(m)
+		}
+		fmt.Fprintf(sc.out, "reorder: model %q on %s (%s)\n\n", rs.Name, fwd, rs.Describe)
+	}
+	if sc.jitter > 0 {
+		fwd.SetImpairment(netem.NewJitter(sc.jitter, sim.NewRand(sim.SplitSeed(sc.seed, 102))))
 	}
 	// An optional repair middlebox resequences the same direction the
 	// reorder model scrambles. The box is deterministic (no RNG); it must
 	// be flushed after the horizon so its custody ledger closes before the
 	// invariant oracle's end-of-run audit.
 	var box *netem.RepairBox
-	if fi.repair != "" {
-		sc, err := netem.RepairScenarioByName(fi.repair)
-		if err != nil {
-			fatalErr(err)
+	if sc.repair != "" {
+		rs, _ := netem.RepairScenarioByName(sc.repair)
+		if box = rs.New(); box != nil {
+			fwd.SetRepair(box)
 		}
-		if box = sc.New(); box != nil {
-			bottlenecks[0].SetRepair(box)
-		}
-		fmt.Printf("repair: scenario %q on %s (%s)\n\n", sc.Name, bottlenecks[0], sc.Describe)
+		fmt.Fprintf(sc.out, "repair: scenario %q on %s (%s)\n\n", rs.Name, fwd, rs.Describe)
 	}
 
-	name := "tcpsim_" + topology
-	if fi.link != "" {
-		name += "_" + fi.link
-	}
-	if fi.host != "" {
-		name += "_" + fi.host
-	}
-	if fi.reorder != "" {
-		name += "_" + fi.reorder
-	}
-	if fi.repair != "" {
-		name += "_" + fi.repair
-	}
-	ob := newObserver(metricsDir, name, sched)
-	ob.observe(flowsOut, bottlenecks)
-	ck := newChecker(check, sched, network, flowsOut, ob)
-	tr := newTracer(paths.json, paths.tsv, paths.flight, sched, network, flowsOut)
-	defer tr.dumpOnPanic()
-	tr.armChecker(ck)
-	run := armEngineObs(eo, name, warm+dur, tr.flightRecorder(), sched)
-	run.startSequential(sched)
+	ses := runobs.NewSession(*sc.obs)
+	scope := ses.Open(name, sc.warm+sc.dur, network, sched)
+	defer scope.DumpOnPanic()
+	scope.Flows(flowsOut...)
+	scope.Links(bottlenecks...)
 
 	// Scripted faults: link scenarios hit the first bottleneck hop (both
 	// directions), host scenarios hit the first destination host. Both
 	// build into one timeline so a single Install covers either or both.
 	var tl *faults.Timeline
-	if fi.link != "" || fi.host != "" {
+	if sc.linkFault != "" || sc.hostFault != "" {
 		tl = faults.NewTimeline()
-		if ob != nil {
-			tl.Instrument(ob.reg)
-			faults.InstrumentHostDrops(ob.reg, network)
+		scope.Timeline(tl)
+		faults.InstrumentHostDrops(scope.Registry(), network)
+		if sc.linkFault != "" {
+			fsc, _ := faults.ScenarioByName(sc.linkFault)
+			fsc.Build(tl, fwd, network.FindLink(fwd.To.Name, fwd.From.Name), sc.faultAt, sc.seed)
+			fmt.Fprintf(sc.out, "faults: scenario %q on %s starting at %v (%s)\n", fsc.Name, fwd, sc.faultAt, fsc.Description)
 		}
-		tr.armTimeline(tl)
-		if fi.link != "" {
-			sc, err := faults.ScenarioByName(fi.link)
-			if err != nil {
-				fatalErr(err)
-			}
-			fwd := bottlenecks[0]
-			rev := network.FindLink(fwd.To.Name, fwd.From.Name)
-			sc.Build(tl, fwd, rev, fi.at, seed)
-			fmt.Printf("faults: scenario %q on %s starting at %v (%s)\n", sc.Name, fwd, fi.at, sc.Description)
-		}
-		if fi.host != "" {
-			sc, err := faults.HostScenarioByName(fi.host)
-			if err != nil {
-				fatalErr(err)
-			}
-			sc.Build(tl, firstDst, sim.Time(fi.at))
-			fmt.Printf("faults: host scenario %q on %s starting at %v (%s)\n", sc.Name, firstDst.Name, fi.at, sc.Description)
+		if sc.hostFault != "" {
+			hsc, _ := faults.HostScenarioByName(sc.hostFault)
+			hsc.Build(tl, firstDst, sim.Time(sc.faultAt))
+			fmt.Fprintf(sc.out, "faults: host scenario %q on %s starting at %v (%s)\n", hsc.Name, firstDst.Name, sc.faultAt, hsc.Description)
 		}
 		tl.Install(sched)
-		fmt.Println()
+		fmt.Fprintln(sc.out)
 	}
 
-	measureAndReport(sched, flowsOut, warm, dur)
+	sc.measureAndReport(sched, flowsOut)
 	if box != nil {
 		box.Flush()
 		st := box.Stats()
-		fmt.Printf("\nrepair: held %d released %d timed-out %d overflow fwd/drop %d/%d evicted %d flushed %d\n",
+		fmt.Fprintf(sc.out, "\nrepair: held %d released %d timed-out %d overflow fwd/drop %d/%d evicted %d flushed %d\n",
 			st.Held, st.Released, st.TimedOut, st.OverflowForwarded, st.OverflowDropped,
 			st.Evicted, st.Flushed)
 	}
 	for _, wf := range flowsOut {
 		if wf.Flow.Aborted() {
-			fmt.Printf("flow %d (%s) aborted at %v: %s\n", wf.ID, wf.Protocol,
+			fmt.Fprintf(sc.out, "flow %d (%s) aborted at %v: %s\n", wf.ID, wf.Protocol,
 				time.Duration(wf.Flow.AbortedAt()), wf.Flow.AbortCause())
 		}
 	}
 	if tl != nil {
-		fmt.Printf("\nfault events applied:\n%s", tl.EventsTSV())
-		if ob != nil {
-			for _, ev := range tl.Applied() {
-				ob.faults = append(ob.faults, ev.String())
-			}
-		}
+		fmt.Fprintf(sc.out, "\nfault events applied:\n%s", tl.EventsTSV())
 	}
-	ob.addArtifacts(run.finish())
-	ob.finish(topology, seed, map[string]float64{"flows": float64(n)}, warm+dur)
-	tr.finish()
-	finishChecker(ck)
+	if err := scope.Finish(runobs.Fields{Experiment: "tcpsim", Topology: sc.topology, Seed: sc.seed,
+		Params: map[string]float64{"flows": float64(n)}}); err != nil {
+		return err
+	}
+	return sc.verdict(ses)
 }
 
-func runMultipath(protos []string, pr workload.PRParams, eps float64, delay time.Duration, seed int64, warm, dur time.Duration, metricsDir string, check bool, paths tracePaths, eo engineObsFlags) {
-	// One flow at a time per protocol, matching the paper's Fig 6 setup.
-	fmt.Printf("multipath: eps=%g delay=%v (one flow per protocol, separate runs)\n\n", eps, delay)
-	for _, proto := range protos {
-		runMultipathOne(proto, pr, eps, delay, seed, warm, dur, metricsDir, check, paths.suffixed(proto), eo)
+// runMultipath runs one flow at a time per protocol, matching the paper's
+// Fig 6 setup. Each protocol is a run of its own — own session, own file
+// set: the explicit trace paths get the protocol inserted before their
+// extension (trace.json → trace_TCP-PR.json).
+func (sc *scenario) runMultipath() error {
+	fmt.Fprintf(sc.out, "multipath: eps=%g delay=%v (one flow per protocol, separate runs)\n\n", sc.eps, sc.delay)
+	for _, proto := range sc.protos {
+		o := *sc.obs
+		o.TraceJSON, o.TraceTSV, o.FlightFile = suffixPath(o.TraceJSON, proto), suffixPath(o.TraceTSV, proto), suffixPath(o.FlightFile, proto)
+		if err := sc.runMultipathOne(runobs.NewSession(o), proto); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // runMultipathOne runs one protocol's multipath cell; its own function so
-// the tracer's panic hook covers exactly one simulation.
-func runMultipathOne(proto string, pr workload.PRParams, eps float64, delay time.Duration, seed int64, warm, dur time.Duration, metricsDir string, check bool, paths tracePaths, eo engineObsFlags) {
+// the scope's panic hook covers exactly one simulation.
+func (sc *scenario) runMultipathOne(ses *runobs.Session, proto string) error {
 	sched := sim.NewScheduler()
-	m := topo.NewMultipath(sched, 3, delay)
-	fwd := routing.NewEpsilon(m.FwdPaths, eps, sim.NewRand(sim.SplitSeed(seed, 1)))
-	rev := routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(sim.SplitSeed(seed, 2)))
+	m := topo.NewMultipath(sched, 3, sc.delay)
+	fwd := routing.NewEpsilon(m.FwdPaths, sc.eps, sim.NewRand(sim.SplitSeed(sc.seed, 1)))
+	rev := routing.NewEpsilon(m.RevPaths, sc.eps, sim.NewRand(sim.SplitSeed(sc.seed, 2)))
 	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
-	wf := workload.NewFlow(f, proto, pr, 0)
-	ob := newObserver(metricsDir, "tcpsim_multipath_"+proto, sched)
-	ob.observe([]*workload.Flow{wf}, m.Net.Links())
-	ck := newChecker(check, sched, m.Net, []*workload.Flow{wf}, ob)
-	tr := newTracer(paths.json, paths.tsv, paths.flight, sched, m.Net, []*workload.Flow{wf})
-	defer tr.dumpOnPanic()
-	tr.armChecker(ck)
-	run := armEngineObs(eo, "tcpsim_multipath_"+proto, warm+dur, tr.flightRecorder(), sched)
-	run.startSequential(sched)
-	wf.MarkWindow(sched, warm, warm+dur)
-	sched.RunUntil(warm + dur)
-	mbps := stats.Mbps(stats.Throughput(wf.WindowBytes(), dur))
-	fmt.Printf("%-10s %7.2f Mbps (retx %d of %d sent)\n", proto, mbps, f.DataRetx(), f.DataSent())
-	ob.addArtifacts(run.finish())
-	ob.finish("multipath", seed, map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds())}, warm+dur)
-	tr.finish()
-	finishChecker(ck)
+	wf := workload.NewFlow(f, proto, sc.pr, 0)
+	scope := ses.Open("tcpsim_multipath_"+proto, sc.warm+sc.dur, m.Net, sched)
+	defer scope.DumpOnPanic()
+	scope.Flows(wf)
+	scope.Links(m.Net.Links()...)
+	wf.MarkWindow(sched, sc.warm, sc.warm+sc.dur)
+	sched.RunUntil(sc.warm + sc.dur)
+	mbps := stats.Mbps(stats.Throughput(wf.WindowBytes(), sc.dur))
+	fmt.Fprintf(sc.out, "%-10s %7.2f Mbps (retx %d of %d sent)\n", proto, mbps, f.DataRetx(), f.DataSent())
+	if err := scope.Finish(runobs.Fields{Experiment: "tcpsim", Topology: "multipath", Seed: sc.seed,
+		Params: map[string]float64{"eps": sc.eps, "delay_ms": float64(sc.delay.Milliseconds())}}); err != nil {
+		return err
+	}
+	return sc.verdict(ses)
 }
 
 // runCity drives the sharded parallel engine over the districts-of-web-
 // sources city workload and reports throughput of the run itself. With
-// -engine-profile/-heartbeat/-watchdog-timeout set it arms the
-// internal/engineobs telemetry stack on the engine's barrier loop and
-// writes the artifacts (window-profile TSV/JSON, Perfetto shard lanes,
-// heartbeat JSONL) plus a run manifest into -metrics.
-func runCity(shards, districts, hosts, sources int, horizon time.Duration, seed int64, check bool, eo engineObsFlags) {
-	eng, st := psim.BuildCity(psim.CityRun{
-		City:            topo.CityConfig{Districts: districts, HostsPerDistrict: hosts},
-		Shards:          shards,
-		Seed:            seed,
-		Horizon:         horizon,
-		SourcesPerHost:  sources,
-		CheckInvariants: check,
+// -engine-profile/-heartbeat/-watchdog-timeout set the engine's barrier
+// loop is instrumented, and -metrics receives the artifacts (window-
+// profile TSV/JSON, Perfetto shard lanes, heartbeat JSONL) plus the run
+// manifest indexing them, so tcpreport can diff two city runs.
+func (sc *scenario) runCity() error {
+	ses := runobs.NewSession(*sc.obs)
+	_, err := ses.RunCity("tcpsim_city", "tcpsim", psim.CityRun{
+		City: sc.city, Shards: sc.shards, Seed: sc.seed, Horizon: sc.dur, SourcesPerHost: sc.sources,
+	}, func(res psim.CityResult) {
+		fmt.Fprintf(sc.out, "city: %d districts x %d hosts x %d sources, %d shards (lookahead %v)\n",
+			sc.city.Districts, sc.city.HostsPerDistrict, sc.sources, res.Shards, res.Lookahead)
+		fmt.Fprintf(sc.out, "  flows started       %12d\n", res.Flows)
+		fmt.Fprintf(sc.out, "  transfers completed %12d (%d bytes)\n", res.Transfers, res.TransferBytes)
+		fmt.Fprintf(sc.out, "  backbone bulk bytes %12d\n", res.BulkBytes)
+		fmt.Fprintf(sc.out, "  events processed    %12d\n", res.Events)
+		fmt.Fprintf(sc.out, "  sim %0.2fs in wall %0.2fs = %0.2f sim-s/wall-s\n",
+			res.SimSeconds, res.WallSeconds, res.SimRate())
 	})
-	scheds := make([]*sim.Scheduler, 0, len(eng.Shards()))
-	for _, sh := range eng.Shards() {
-		scheds = append(scheds, sh.Sched)
-	}
-	run := armEngineObs(eo, "tcpsim_city", horizon, nil, scheds...)
-	if run != nil {
-		var parts []engineobs.EngineObserver
-		if run.prof != nil {
-			parts = append(parts, run.prof)
-		}
-		if run.hb != nil {
-			if len(scheds) > 1 {
-				// Multi-shard: the heartbeat beats at every barrier window.
-				parts = append(parts, run.hb)
-			} else {
-				// One shard runs the whole horizon as a single window, so
-				// the heartbeat pulses off a virtual timer instead.
-				run.hb.Attach(scheds[0], 0)
-			}
-		}
-		if obs := engineobs.Multi(parts...); obs != nil {
-			eng.SetObserver(obs)
-		}
-		run.startEngine()
-	}
-	t0 := time.Now()
-	eng.Run(sim.Time(horizon))
-	wall := time.Since(t0)
-	arts := run.finish()
-	res := st.Finish(wall)
-	fmt.Printf("city: %d districts x %d hosts x %d sources, %d shards (lookahead %v)\n",
-		districts, hosts, sources, res.Shards, res.Lookahead)
-	fmt.Printf("  flows started       %12d\n", res.Flows)
-	fmt.Printf("  transfers completed %12d (%d bytes)\n", res.Transfers, res.TransferBytes)
-	fmt.Printf("  backbone bulk bytes %12d\n", res.BulkBytes)
-	fmt.Printf("  events processed    %12d\n", res.Events)
-	fmt.Printf("  sim %0.2fs in wall %0.2fs = %0.2f sim-s/wall-s\n",
-		res.SimSeconds, res.WallSeconds, res.SimRate())
-	if eo.dir != "" {
-		writeCityManifest(eo.dir, res, districts, hosts, sources, seed, arts)
-	}
-	if check {
-		if res.Violations > 0 {
-			fatalErr(fmt.Errorf("invariants: %d violation(s)", res.Violations))
-		}
-		fmt.Println("invariants: ok (0 violations)")
-	}
-}
-
-// writeCityManifest records a city run the same way the sequential
-// observer does, so tcpreport can diff two city runs; arts lists the
-// telemetry files written next to it.
-func writeCityManifest(dir string, res psim.CityResult, districts, hosts, sources int, seed int64, arts []string) {
-	man := &metrics.Manifest{
-		Name:       "tcpsim_city",
-		Experiment: "tcpsim",
-		Topology:   "city",
-		Seed:       seed,
-		Params: map[string]float64{
-			"shards": float64(res.Shards), "districts": float64(districts),
-			"hosts": float64(hosts), "sources": float64(sources),
-		},
-		SimSeconds:      res.SimSeconds,
-		WallSeconds:     res.WallSeconds,
-		EventsProcessed: res.Events,
-		Counters: map[string]uint64{
-			"flows":          uint64(res.Flows),
-			"transfers":      uint64(res.Transfers),
-			"transfer_bytes": uint64(res.TransferBytes),
-			"bulk_bytes":     uint64(res.BulkBytes),
-		},
-		Artifacts: arts,
-	}
-	man.FillRates()
-	path := filepath.Join(dir, man.Name+".manifest.json")
-	if err := man.WriteFile(path); err != nil {
-		fatalErr(err)
-	}
-	fmt.Printf("metrics: wrote %s\n", path)
-}
-
-// newChecker attaches the conformance oracle to the run when -check is
-// set; returns nil otherwise.
-func newChecker(check bool, sched *sim.Scheduler, net *netem.Network, flows []*workload.Flow, ob *observer) *invariant.Checker {
-	if !check {
-		return nil
-	}
-	c := invariant.New(sched)
-	c.AttachNetwork(net)
-	for _, f := range flows {
-		c.AttachFlow(f.Flow, f.Protocol)
-	}
-	if ob != nil {
-		c.SetMetrics(ob.reg)
-	}
-	return c
-}
-
-// finishChecker runs the end-of-run probes and fails the process on any
-// recorded violation.
-func finishChecker(c *invariant.Checker) {
-	if c == nil {
-		return
-	}
-	c.Finish()
-	if c.Total() == 0 {
-		fmt.Println("invariants: ok (0 violations)")
-		return
-	}
-	for _, v := range c.Violations() {
-		fmt.Fprintln(os.Stderr, "  "+v.String())
-	}
-	fatalErr(fmt.Errorf("invariants: %d violation(s)", c.Total()))
-}
-
-// observer bundles one run's observability stack: a registry, a sampler
-// on the run's scheduler, and the output directory for series + manifest.
-type observer struct {
-	dir       string
-	name      string
-	sched     *sim.Scheduler
-	reg       *metrics.Registry
-	samp      *metrics.Sampler
-	start     time.Time
-	faults    []string
-	artifacts []string
-}
-
-// newObserver returns nil (a no-op observer) when dir is empty.
-func newObserver(dir, name string, sched *sim.Scheduler) *observer {
-	if dir == "" {
-		return nil
-	}
-	ob := &observer{
-		dir: dir, name: metrics.SanitizeName(name), sched: sched,
-		reg: metrics.New(), samp: metrics.NewSampler(sched, 0, 0), start: time.Now(),
-	}
-	ob.samp.Start(0)
-	return ob
-}
-
-func (o *observer) observe(flows []*workload.Flow, links []*netem.Link) {
-	if o == nil {
-		return
-	}
-	for _, f := range flows {
-		metrics.InstrumentFlow(o.samp, o.reg, f.Flow, metrics.FlowPrefix(f.ID, f.Protocol))
-	}
-	for _, l := range links {
-		metrics.InstrumentLink(o.samp, o.reg, l, metrics.LinkPrefix(l))
-	}
-}
-
-// addArtifacts records companion files (heartbeat JSONL, engine
-// profiles) for the manifest's Artifacts list.
-func (o *observer) addArtifacts(names []string) {
-	if o == nil {
-		return
-	}
-	o.artifacts = append(o.artifacts, names...)
-}
-
-func (o *observer) finish(topology string, seed int64, params map[string]float64, simDur time.Duration) {
-	if o == nil {
-		return
-	}
-	o.samp.Stop()
-	if err := os.MkdirAll(o.dir, 0o755); err != nil {
-		fatalErr(err)
-	}
-	seriesFile := o.name + ".series.tsv"
-	sf, err := os.Create(filepath.Join(o.dir, seriesFile))
 	if err != nil {
-		fatalErr(err)
+		return err
 	}
-	if err := o.samp.WriteTSV(sf); err != nil {
-		fatalErr(err)
-	}
-	if err := sf.Close(); err != nil {
-		fatalErr(err)
-	}
-	man := &metrics.Manifest{
-		Name:            o.name,
-		Experiment:      "tcpsim",
-		Topology:        topology,
-		Seed:            seed,
-		Params:          params,
-		Faults:          o.faults,
-		SimSeconds:      simDur.Seconds(),
-		WallSeconds:     metrics.Wall(o.start),
-		EventsProcessed: o.sched.Processed(),
-		Artifacts:       o.artifacts,
-	}
-	man.FillRates()
-	man.AddSnapshot(o.reg.Snapshot())
-	man.AddSampler(o.samp, seriesFile)
-	if err := man.WriteFile(filepath.Join(o.dir, o.name+".manifest.json")); err != nil {
-		fatalErr(err)
-	}
-	fmt.Printf("metrics: wrote %s and %s\n",
-		filepath.Join(o.dir, o.name+".manifest.json"), filepath.Join(o.dir, seriesFile))
+	return sc.verdict(ses)
 }
 
-func fatalErr(err error) {
-	fmt.Fprintln(os.Stderr, "tcpsim:", err)
-	os.Exit(1)
-}
-
-func measureAndReport(sched *sim.Scheduler, flows []*workload.Flow, warm, dur time.Duration) {
+func (sc *scenario) measureAndReport(sched *sim.Scheduler, flows []*workload.Flow) {
 	for _, f := range flows {
-		f.MarkWindow(sched, warm, warm+dur)
+		f.MarkWindow(sched, sc.warm, sc.warm+sc.dur)
 	}
-	sched.RunUntil(warm + dur)
+	sched.RunUntil(sc.warm + sc.dur)
 
 	bytes := make([]float64, len(flows))
 	for i, f := range flows {
@@ -694,18 +513,28 @@ func measureAndReport(sched *sim.Scheduler, flows []*workload.Flow, warm, dur ti
 	// Normalized returns nil when nothing was delivered — possible now
 	// that a host fault can kill every flow before the window opens.
 	norm := stats.Normalized(bytes)
-	fmt.Printf("%-4s %-10s %10s %10s\n", "flow", "protocol", "mbps", "normalized")
+	fmt.Fprintf(sc.out, "%-4s %-10s %10s %10s\n", "flow", "protocol", "mbps", "normalized")
 	for i, f := range flows {
 		n := 0.0
 		if norm != nil {
 			n = norm[i]
 		}
-		fmt.Printf("%-4d %-10s %10.2f %10.3f\n", f.ID, f.Protocol,
-			stats.Mbps(stats.Throughput(f.WindowBytes(), dur)), n)
+		fmt.Fprintf(sc.out, "%-4d %-10s %10.2f %10.3f\n", f.ID, f.Protocol,
+			stats.Mbps(stats.Throughput(f.WindowBytes(), sc.dur)), n)
 	}
-	labels, series := workload.ByProtocol(flows, dur)
-	fmt.Println()
+	labels, series := workload.ByProtocol(flows, sc.dur)
+	fmt.Fprintln(sc.out)
 	for _, l := range labels {
-		fmt.Printf("%-10s mean %7.2f Mbps over %d flows\n", l, stats.Mbps(stats.Mean(series[l])), len(series[l]))
+		fmt.Fprintf(sc.out, "%-10s mean %7.2f Mbps over %d flows\n", l, stats.Mbps(stats.Mean(series[l])), len(series[l]))
 	}
+}
+
+// suffixPath inserts a suffix before the path's extension:
+// trace.json + TCP-PR → trace_TCP-PR.json.
+func suffixPath(path, suffix string) string {
+	if path == "" {
+		return ""
+	}
+	ext := filepath.Ext(path)
+	return strings.TrimSuffix(path, ext) + "_" + suffix + ext
 }

@@ -25,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/span"
@@ -78,7 +79,7 @@ func main() {
 			routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
 	case "jitter":
 		d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-		d.Bottleneck.SetJitter(*jitter, sim.NewRand(sim.SplitSeed(*seed, 3)))
+		d.Bottleneck.SetImpairment(netem.NewJitter(*jitter, sim.NewRand(sim.SplitSeed(*seed, 3))))
 		flow = tcp.NewFlow(d.Net, 1, d.Src(0), d.Dst(0),
 			routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
 	default:

@@ -6,6 +6,7 @@ import (
 
 	"tcppr/internal/core"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -23,9 +24,9 @@ type AblationBetaConfig struct {
 	BandwidthMbps float64
 	Flows         int
 	Durations     Durations
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
+	// Obs, when non-nil, is the run's telemetry session; every cell runs
+	// inside one of its scopes.
+	Obs *runobs.Session
 }
 
 func (c *AblationBetaConfig) fill() {
@@ -64,10 +65,11 @@ func RunAblationBeta(cfg AblationBetaConfig) AblationBetaResult {
 	res := AblationBetaResult{Config: cfg}
 	for _, beta := range cfg.Betas {
 		s := dumbbellScenario(cfg.Flows, topo.Mbps(cfg.BandwidthMbps))
-		ic := cfg.Invariants.watch(fmt.Sprintf("ablation-beta_b%g", beta), s.sched, s.net)
+		sc := cfg.Obs.Open(fmt.Sprintf("ablation-beta_b%g", beta), cfg.Durations.total(), s.net, s.sched)
 		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Beta: beta}, cfg.Durations, nil, ic)
-		ic.finish()
+			workload.PRParams{Beta: beta}, cfg.Durations, staggeredStarts(len(s.slots)), sc)
+		sc.Finish(runobs.Fields{Experiment: "ablation-beta", Topology: "dumbbell", Variant: "TCP-PR vs TCP-SACK",
+			Params: map[string]float64{"beta": beta, "flows": float64(cfg.Flows)}})
 		bytes := make([]float64, len(flows))
 		for i, f := range flows {
 			bytes[i] = float64(f.WindowBytes())
@@ -137,48 +139,50 @@ type AblationBurstRow struct {
 // list never absorbs drops (every drop halves), quantifying the paper's
 // "one reaction per burst" design choice. Both run as a single flow on a
 // small-buffer dumbbell that produces multi-drop congestion events.
-func RunAblationMemorize(d Durations, inv ...*InvariantOptions) AblationBurstResult {
-	opts := firstInv(inv)
-	run := func(name string, disable bool) AblationBurstRow {
-		sched := sim.NewScheduler()
-		db := topo.NewDumbbell(sched, topo.DumbbellConfig{
-			Hosts: 1, BottleneckBW: topo.Mbps(8), Queue: 20,
-		})
-		ic := opts.watch("ablation-memorize "+name, sched, db.Net)
-		f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-			routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-		var s *core.Sender
-		f.Attach(func(env tcp.SenderEnv) tcp.Sender {
-			s = core.New(env, core.Config{DisableMemorize: disable})
-			return s
-		})
-		f.Start(0)
-		ic.flow(f, workload.TCPPR)
-		var start, end int64
-		sched.At(d.Warm, func() { start = f.UniqueBytes() })
-		sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
-		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
-		return AblationBurstRow{
-			Name:       name,
-			Mbps:       stats.Mbps(stats.Throughput(end-start, d.Measure)),
-			Halvings:   s.Halvings,
-			BurstDrops: s.BurstDrops,
-			Extremes:   s.ExtremeEvents,
-		}
-	}
+func RunAblationMemorize(d Durations, obs *runobs.Session) AblationBurstResult {
 	return AblationBurstResult{Rows: []AblationBurstRow{
-		run("memorize (paper)", false),
-		run("no memorize", true),
+		burstRow("ablation-memorize", "memorize (paper)", core.Config{}, d, obs),
+		burstRow("ablation-memorize", "no memorize", core.Config{DisableMemorize: true}, d, obs),
 	}}
+}
+
+// burstRow runs one TCP-PR configuration as a single flow on a
+// small-buffer dumbbell that produces multi-drop congestion events.
+func burstRow(experiment, name string, cfg core.Config, d Durations, obs *runobs.Session) AblationBurstRow {
+	sched := sim.NewScheduler()
+	db := topo.NewDumbbell(sched, topo.DumbbellConfig{
+		Hosts: 1, BottleneckBW: topo.Mbps(8), Queue: 20,
+	})
+	sc := obs.Open(experiment+" "+name, d.total(), db.Net, sched)
+	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
+		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
+	var s *core.Sender
+	f.Attach(func(env tcp.SenderEnv) tcp.Sender {
+		s = core.New(env, cfg)
+		return s
+	})
+	f.Start(0)
+	sc.Flows(&workload.Flow{Flow: f, Protocol: workload.TCPPR})
+	sc.Links(db.Bottleneck)
+	var start, end int64
+	sched.At(d.Warm, func() { start = f.UniqueBytes() })
+	sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
+	sched.RunUntil(d.Warm + d.Measure)
+	sc.Finish(runobs.Fields{Experiment: experiment, Topology: "dumbbell", Variant: name})
+	return AblationBurstRow{
+		Name:       name,
+		Mbps:       stats.Mbps(stats.Throughput(end-start, d.Measure)),
+		Halvings:   s.Halvings,
+		BurstDrops: s.BurstDrops,
+		Extremes:   s.ExtremeEvents,
+	}
 }
 
 // RunAblationHoleMode contrasts TCP-PR's three hole policies (see
 // core.HoleMode) in the fairness setting where they differ most: mixed
 // TCP-PR/TCP-SACK flows on a dumbbell. It quantifies the DESIGN.md
 // resolution-6 measurement.
-func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
-	opts := firstInv(inv)
+func RunAblationHoleMode(d Durations, obs *runobs.Session) *Table {
 	t := &Table{
 		Title:  "Ablation: TCP-PR hole policy (8 PR + 8 SACK flows, dumbbell)",
 		Header: []string{"policy", "mean_norm_TCP-PR", "mean_norm_TCP-SACK"},
@@ -186,8 +190,8 @@ func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
 	for _, mode := range []core.HoleMode{core.HoleThrottled, core.HoleFreeze, core.HoleFullClock} {
 		mode := mode
 		s := dumbbellScenario(16, 0)
-		ic := opts.watch("ablation-holemode_"+mode.String(), s.sched, s.net)
-		starts := workload.StaggeredStarts(16, 0, 5*time.Second)
+		sc := obs.Open("ablation-holemode_"+mode.String(), d.total(), s.net, s.sched)
+		starts := staggeredStarts(16)
 		flows := make([]*workload.Flow, 0, 16)
 		for i, slot := range s.slots {
 			f := tcp.NewFlow(s.net, i+1, slot.src, slot.dst, slot.fwd, slot.rev)
@@ -201,12 +205,12 @@ func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
 				flows = append(flows, workload.NewFlow(f, workload.TCPSACK, workload.PRParams{}, starts[i]))
 			}
 		}
-		ic.flows(flows...)
+		sc.Flows(flows...)
 		for _, f := range flows {
 			f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
 		}
 		s.sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
+		sc.Finish(runobs.Fields{Experiment: "ablation-holemode", Topology: "dumbbell", Variant: mode.String()})
 		bytes := make([]float64, len(flows))
 		for i, f := range flows {
 			bytes[i] = float64(f.WindowBytes())
@@ -221,39 +225,10 @@ func RunAblationHoleMode(d Durations, inv ...*InvariantOptions) *Table {
 // RunAblationSendCwnd contrasts halving from the cwnd recorded at send
 // time (the paper's choice, insensitive to detection delay) against
 // halving from the current cwnd.
-func RunAblationSendCwnd(d Durations, inv ...*InvariantOptions) AblationBurstResult {
-	opts := firstInv(inv)
-	run := func(name string, current bool) AblationBurstRow {
-		sched := sim.NewScheduler()
-		db := topo.NewDumbbell(sched, topo.DumbbellConfig{
-			Hosts: 1, BottleneckBW: topo.Mbps(8), Queue: 20,
-		})
-		ic := opts.watch("ablation-sendcwnd "+name, sched, db.Net)
-		f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-			routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-		var s *core.Sender
-		f.Attach(func(env tcp.SenderEnv) tcp.Sender {
-			s = core.New(env, core.Config{HalveFromCurrentCwnd: current})
-			return s
-		})
-		f.Start(0)
-		ic.flow(f, workload.TCPPR)
-		var start, end int64
-		sched.At(d.Warm, func() { start = f.UniqueBytes() })
-		sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
-		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
-		return AblationBurstRow{
-			Name:       name,
-			Mbps:       stats.Mbps(stats.Throughput(end-start, d.Measure)),
-			Halvings:   s.Halvings,
-			BurstDrops: s.BurstDrops,
-			Extremes:   s.ExtremeEvents,
-		}
-	}
+func RunAblationSendCwnd(d Durations, obs *runobs.Session) AblationBurstResult {
 	return AblationBurstResult{Rows: []AblationBurstRow{
-		run("cwnd at send time (paper)", false),
-		run("current cwnd", true),
+		burstRow("ablation-sendcwnd", "cwnd at send time (paper)", core.Config{}, d, obs),
+		burstRow("ablation-sendcwnd", "current cwnd", core.Config{HalveFromCurrentCwnd: true}, d, obs),
 	}}
 }
 

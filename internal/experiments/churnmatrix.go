@@ -6,10 +6,10 @@ import (
 
 	"tcppr/internal/faults"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -44,10 +44,8 @@ type ChurnMatrixConfig struct {
 	// depending on the variant — Total must cover FaultAt + one
 	// established-RTT ladder + one cold ladder per retry.
 	Retry workload.RetryConfig
-	// Metrics, Invariants, Trace behave as in FaultMatrixConfig.
-	Metrics    *MetricsOptions
-	Invariants *InvariantOptions
-	Trace      *TraceOptions
+	// Obs is the run's telemetry session, as in FaultMatrixConfig.
+	Obs *runobs.Session
 }
 
 func (c *ChurnMatrixConfig) fill() {
@@ -120,46 +118,27 @@ type ChurnMatrixResult struct {
 // the matrix, scenario-major in the configured order.
 func RunChurnMatrix(cfg ChurnMatrixConfig) (ChurnMatrixResult, error) {
 	cfg.fill()
-	res := ChurnMatrixResult{Config: cfg}
-	cell := 0
-	for _, name := range cfg.Scenarios {
-		sc, err := faults.HostScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("churnmatrix: unknown protocol %q", proto)
-			}
-			cell++
-			res.Cells = append(res.Cells, runChurnCell(sc, proto, cfg, cell))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix(matrix{
+		name:   "churnmatrix",
+		axes:   []axis{{cfg.Scenarios, catalog(faults.HostScenarioByName)}, {names: cfg.Protocols}},
+		total:  cfg.Total,
+		seed:   cfg.Seed,
+		params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()},
+		obs:    cfg.Obs,
+	}, func(c *matrixCell) func() ChurnMatrixCell { return churnCell(c, cfg) })
+	return ChurnMatrixResult{Cells: cells, Config: cfg}, err
 }
 
-// runChurnCell runs one protocol's retrying workload under one host
+// churnCell sets up one protocol's retrying workload under one host
 // scenario.
-func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, cellIdx int) ChurnMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-	peer := db.Dst(0)
-
-	name := fmt.Sprintf("churnmatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
+func churnCell(c *matrixCell, cfg ChurnMatrixConfig) func() ChurnMatrixCell {
+	sc, _ := faults.HostScenarioByName(c.Key[0]) // runMatrix vouched for the name
+	proto := c.Key[1]
+	db, sched, peer := c.DB, c.Sched, c.DB.Dst(0)
 
 	tl := faults.NewTimeline()
-	if ob != nil {
-		tl.Instrument(ob.reg)
-		faults.InstrumentHostDrops(ob.reg, db.Net)
-	}
-	tc.armTimeline(tl)
+	c.Scope.Timeline(tl)
+	faults.InstrumentHostDrops(c.Scope.Registry(), db.Net)
 	sc.Build(tl, peer, sim.Time(cfg.FaultAt))
 	tl.Install(sched)
 
@@ -175,8 +154,7 @@ func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, c
 			Protocol:     proto,
 			Retry:        &retry,
 			OnFlow: func(f *tcp.Flow, protocol string) {
-				ic.flow(f, protocol)
-				tc.flow(f, protocol)
+				c.Scope.Flow(f, protocol)
 				cell.Events = append(cell.Events,
 					fmt.Sprintf("%.6f\topen\tflow=%d", time.Duration(sched.Now()).Seconds(), f.ID))
 				lastUB := int64(0)
@@ -202,26 +180,17 @@ func runChurnCell(sc faults.HostScenario, proto string, cfg ChurnMatrixConfig, c
 				})
 			},
 		},
-		sim.NewRand(sim.SplitSeed(cfg.Seed, int64(cellIdx))))
+		sim.NewRand(c.Seed))
 	src.Start(0)
 
-	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
-
-	cell.GoodputMbps = stats.Mbps(stats.Throughput(src.BytesDelivered, cfg.Total))
-	cell.Transfers = src.Transfers
-	cell.Retries = src.Retries
-	cell.GaveUp = src.GaveUp
-	cell.FaultEvents = len(tl.Applied())
-	if ob != nil {
-		for _, ev := range tl.Applied() {
-			ob.man.Faults = append(ob.man.Faults, ev.String())
-		}
-		ob.finish("churnmatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Total)
+	return func() ChurnMatrixCell {
+		cell.GoodputMbps = stats.Mbps(stats.Throughput(src.BytesDelivered, cfg.Total))
+		cell.Transfers = src.Transfers
+		cell.Retries = src.Retries
+		cell.GaveUp = src.GaveUp
+		cell.FaultEvents = len(tl.Applied())
+		return cell
 	}
-	return cell
 }
 
 // Table renders the churn matrix in long format: one row per cell.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tcppr/internal/faults"
+	"tcppr/internal/runobs"
 	"tcppr/internal/workload"
 )
 
@@ -157,12 +158,12 @@ func TestChurnMatrixBoundedTermination(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every variant against a dead host; skipped in -short mode")
 	}
-	inv := &InvariantOptions{}
+	inv := runobs.NewSession(runobs.Options{Check: true})
 	cfg := ChurnMatrixConfig{
-		Scenarios:  []string{"host-dead"}, // Protocols nil → all variants
-		FaultAt:    3 * time.Second,
-		Seed:       1,
-		Invariants: inv,
+		Scenarios: []string{"host-dead"}, // Protocols nil → all variants
+		FaultAt:   3 * time.Second,
+		Seed:      1,
+		Obs:       inv,
 	}
 	res, err := RunChurnMatrix(cfg)
 	if err != nil {

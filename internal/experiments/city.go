@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcppr/internal/psim"
+	"tcppr/internal/runobs"
 	"tcppr/internal/topo"
 )
 
@@ -21,11 +22,10 @@ type CityConfig struct {
 	Horizon     time.Duration
 	// SourcesPerHost is forwarded to psim.CityRun (default 1).
 	SourcesPerHost int
-	// CheckInvariants arms the per-shard conformance checkers.
-	CheckInvariants bool
-	// Engine, when enabled, arms the internal/engineobs telemetry stack
-	// (window profiler, heartbeat, watchdog) on every cell.
-	Engine *EngineOptions
+	// Obs, when non-nil, is the run's telemetry session: checking arms
+	// the per-shard conformance checkers, and the engine telemetry
+	// (window profiler, heartbeat, watchdog) rides every cell.
+	Obs *runobs.Session
 }
 
 // CityScalingResult is the sweep outcome, one CityResult per shard count
@@ -39,14 +39,13 @@ type CityScalingResult struct {
 func RunCityScaling(cfg CityConfig) (CityScalingResult, error) {
 	res := CityScalingResult{Cfg: cfg}
 	for _, shards := range cfg.ShardCounts {
-		run, err := runCityCell(psim.CityRun{
-			City:            cfg.City,
-			Shards:          shards,
-			Seed:            cfg.Seed,
-			Horizon:         cfg.Horizon,
-			SourcesPerHost:  cfg.SourcesPerHost,
-			CheckInvariants: cfg.CheckInvariants,
-		}, cfg.Engine)
+		run, err := cfg.Obs.RunCity(fmt.Sprintf("city_%dshard", shards), "city", psim.CityRun{
+			City:           cfg.City,
+			Shards:         shards,
+			Seed:           cfg.Seed,
+			Horizon:        cfg.Horizon,
+			SourcesPerHost: cfg.SourcesPerHost,
+		}, nil)
 		if err != nil {
 			return res, fmt.Errorf("city %d shards: %w", shards, err)
 		}

@@ -11,6 +11,7 @@ import (
 
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
@@ -24,6 +25,9 @@ type Durations struct {
 	Warm    time.Duration
 	Measure time.Duration
 }
+
+// total is the simulated length of one run: warm-up plus measurement.
+func (d Durations) total() time.Duration { return d.Warm + d.Measure }
 
 // Full matches the paper's measurement protocol (60 s steady-state window
 // after convergence).
@@ -99,16 +103,20 @@ func parkingLotScenario(n int, startCross sim.Time) scenario {
 	return s
 }
 
-// mixedRun attaches n flows alternating between two protocols (protoA on
-// even slots), runs warm+measure, and returns the per-flow measurement
-// window bytes in slot order. obs (nil when metrics are off) instruments
-// the flows and the scenario's bottleneck links before the clock starts;
-// ic (nil when invariant checking is off) attaches the conformance oracle
-// to every flow.
-func mixedRun(s scenario, protoA, protoB string, pr workload.PRParams, d Durations, obs *cellObserver, ic *invCell) []*workload.Flow {
-	n := len(s.slots)
-	starts := workload.StaggeredStarts(n, 0, 5*time.Second)
-	flows := make([]*workload.Flow, 0, n)
+// staggeredStarts spreads n flow starts over the first five seconds.
+func staggeredStarts(n int) []time.Duration {
+	return workload.StaggeredStarts(n, 0, 5*time.Second)
+}
+
+// mixedRun attaches one flow per slot, alternating between two protocols
+// (protoA on even slots) and starting at starts[slot], registers the
+// flows and then the scenario's bottleneck links with the cell's scope,
+// runs warm+measure, and returns the flows in slot order.
+//
+// The figure runners cannot return an error, so they drop the one from
+// Scope.Finish; the session keeps it and report.finish surfaces it.
+func mixedRun(s scenario, protoA, protoB string, pr workload.PRParams, d Durations, starts []time.Duration, sc *runobs.Scope) []*workload.Flow {
+	flows := make([]*workload.Flow, 0, len(s.slots))
 	for i, slot := range s.slots {
 		proto := protoA
 		if i%2 == 1 {
@@ -117,10 +125,8 @@ func mixedRun(s scenario, protoA, protoB string, pr workload.PRParams, d Duratio
 		f := tcp.NewFlow(s.net, i+1, slot.src, slot.dst, slot.fwd, slot.rev)
 		flows = append(flows, workload.NewFlow(f, proto, pr, starts[i]))
 	}
-	obs.flows(flows...)
-	obs.links(s.bottlenecks...)
-	ic.flows(flows...)
-	ic.mirror(obs)
+	sc.Flows(flows...)
+	sc.Links(s.bottlenecks...)
 	for _, f := range flows {
 		f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
 	}

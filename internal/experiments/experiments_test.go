@@ -127,7 +127,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestAblationMemorize(t *testing.T) {
-	res := RunAblationMemorize(Quick)
+	res := RunAblationMemorize(Quick, nil)
 	with, without := res.Rows[0], res.Rows[1]
 	if without.Halvings <= with.Halvings {
 		t.Errorf("disabling memorize should cause more halvings: %d vs %d",

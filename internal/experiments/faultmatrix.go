@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"tcppr/internal/faults"
-	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -30,17 +29,12 @@ type FaultMatrixConfig struct {
 	FaultAt time.Duration
 	// Seed drives the scenarios' random processes (burst loss, ramps).
 	Seed int64
-	// Metrics, when non-nil, exports one series dump + manifest per cell,
-	// with the applied fault events listed in the manifest and counted in
-	// the faults.* counters.
-	Metrics *MetricsOptions
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
-	// Trace, when non-nil, attaches the causal tracer to every cell and
-	// exports per-cell Perfetto/TSV trace artifacts (and flight-recorder
-	// dumps when armed together with Invariants).
-	Trace *TraceOptions
+	// Obs, when non-nil, is the run's telemetry session: every cell runs
+	// inside one of its scopes, so whatever the session asks for — series
+	// and manifests (with the applied fault events listed and counted in
+	// the faults.* counters), the conformance oracle, per-cell traces and
+	// flight dumps — applies to each cell.
+	Obs *runobs.Session
 }
 
 func (c *FaultMatrixConfig) fill() {
@@ -89,46 +83,28 @@ type FaultMatrixResult struct {
 // matrix. Rows come out scenario-major in the configured order.
 func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 	cfg.fill()
-	res := FaultMatrixResult{Config: cfg}
-	for _, name := range cfg.Scenarios {
-		sc, err := faults.ScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("faultmatrix: unknown protocol %q", proto)
-			}
-			res.Cells = append(res.Cells, runFaultCell(sc, proto, cfg))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix(matrix{
+		name:   "faultmatrix",
+		axes:   []axis{{cfg.Scenarios, catalog(faults.ScenarioByName)}, {names: cfg.Protocols}},
+		total:  cfg.Total,
+		seed:   cfg.Seed,
+		params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()},
+		obs:    cfg.Obs,
+	}, func(c *matrixCell) func() FaultMatrixCell { return faultCell(c, cfg) })
+	return FaultMatrixResult{Cells: cells, Config: cfg}, err
 }
 
-// runFaultCell runs one protocol under one fault scenario.
-func runFaultCell(sc faults.Scenario, proto string, cfg FaultMatrixConfig) FaultMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("faultmatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
+// faultCell sets up one protocol under one fault scenario.
+func faultCell(c *matrixCell, cfg FaultMatrixConfig) func() FaultMatrixCell {
+	sc, _ := faults.ScenarioByName(c.Key[0]) // runMatrix vouched for the name
+	proto := c.Key[1]
 
 	tl := faults.NewTimeline()
-	if ob != nil {
-		tl.Instrument(ob.reg)
-	}
-	tc.armTimeline(tl)
-	sc.Build(tl, db.Bottleneck, rev, sim.Time(cfg.FaultAt), cfg.Seed)
-	tl.Install(sched)
+	c.Scope.Timeline(tl)
+	sc.Build(tl, c.DB.Bottleneck, c.Rev, sim.Time(cfg.FaultAt), cfg.Seed)
+	tl.Install(c.Sched)
 
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
+	f := c.Flow()
 
 	// Recovery clock: snapshot delivered bytes when the disruption window
 	// closes, then stamp the first ACK that acknowledges anything beyond
@@ -138,40 +114,28 @@ func runFaultCell(sc faults.Scenario, proto string, cfg FaultMatrixConfig) Fault
 	disruptEnd := sim.Time(cfg.FaultAt) + sim.Time(sc.Disrupt)
 	recovery := time.Duration(-1)
 	var baseline int64
-	sched.At(disruptEnd, func() { baseline = f.UniqueBytes() })
+	c.Sched.At(disruptEnd, func() { baseline = f.UniqueBytes() })
 	f.Hooks = tcp.FlowHooks{OnAckSent: func(_ tcp.Ack, now sim.Time) {
 		if recovery < 0 && now > disruptEnd && f.UniqueBytes() > baseline {
 			recovery = time.Duration(now - disruptEnd)
 		}
 	}}.Chain(f.Hooks)
 
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
+	c.Scope.Flows(workload.NewFlow(f, proto, workload.PRParams{}, 0))
 
-	if sc.Disrupt == 0 {
-		recovery = 0 // nothing to recover from on the baseline row
-	}
-	cell := FaultMatrixCell{
-		Scenario:    sc.Name,
-		Protocol:    proto,
-		GoodputMbps: stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
-		RetxSegs:    f.DataRetx(),
-		Recovery:    recovery,
-		FaultEvents: len(tl.Applied()),
-	}
-	if ob != nil {
-		for _, ev := range tl.Applied() {
-			ob.man.Faults = append(ob.man.Faults, ev.String())
+	return func() FaultMatrixCell {
+		if sc.Disrupt == 0 {
+			recovery = 0 // nothing to recover from on the baseline row
 		}
-		ob.finish("faultmatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Total)
+		return FaultMatrixCell{
+			Scenario:    sc.Name,
+			Protocol:    proto,
+			GoodputMbps: stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
+			RetxSegs:    f.DataRetx(),
+			Recovery:    recovery,
+			FaultEvents: len(tl.Applied()),
+		}
 	}
-	return cell
 }
 
 // Table renders the survival matrix in long format: one row per cell with

@@ -10,6 +10,7 @@ import (
 
 	"tcppr/internal/faults"
 	"tcppr/internal/metrics"
+	"tcppr/internal/runobs"
 	"tcppr/internal/workload"
 )
 
@@ -125,7 +126,7 @@ func TestFaultMatrixManifests(t *testing.T) {
 		Scenarios: []string{"none", "blackout-2s"},
 		Total:     10 * time.Second,
 		FaultAt:   2 * time.Second,
-		Metrics:   &MetricsOptions{Dir: dir},
+		Obs:       runobs.NewSession(runobs.Options{MetricsDir: dir}),
 	}
 	res, err := RunFaultMatrix(cfg)
 	if err != nil {

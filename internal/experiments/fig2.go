@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"tcppr/internal/runobs"
 	"tcppr/internal/stats"
 	"tcppr/internal/workload"
 )
@@ -20,11 +21,9 @@ type Fig2Config struct {
 	Alpha, Beta float64
 	// Durations control warm-up and measurement windows.
 	Durations Durations
-	// Metrics, when non-nil, writes per-cell time series and manifests.
-	Metrics *MetricsOptions
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
+	// Obs, when non-nil, is the run's telemetry session; every cell runs
+	// inside one of its scopes.
+	Obs *runobs.Session
 }
 
 func (c *Fig2Config) fill() {
@@ -67,15 +66,11 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	res := Fig2Result{Config: cfg}
 	for _, n := range cfg.FlowCounts {
 		s := buildScenario(cfg.Topology, n)
-		name := fmt.Sprintf("fig2_%s_n%d", cfg.Topology, n)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
+		sc := cfg.Obs.Open(fmt.Sprintf("fig2_%s_n%d", cfg.Topology, n), cfg.Durations.total(), s.net, s.sched)
 		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Alpha: cfg.Alpha, Beta: cfg.Beta}, cfg.Durations, obs, ic)
-		ic.finish()
-		obs.finish("fig2", cfg.Topology, "TCP-PR vs TCP-SACK", 0,
-			map[string]float64{"alpha": cfg.Alpha, "beta": cfg.Beta, "flows": float64(n)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
+			workload.PRParams{Alpha: cfg.Alpha, Beta: cfg.Beta}, cfg.Durations, staggeredStarts(len(s.slots)), sc)
+		sc.Finish(runobs.Fields{Experiment: "fig2", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Params: map[string]float64{"alpha": cfg.Alpha, "beta": cfg.Beta, "flows": float64(n)}})
 		bytes := make([]float64, len(flows))
 		for i, f := range flows {
 			bytes[i] = float64(f.WindowBytes())
@@ -128,11 +123,8 @@ func (r Fig2Result) PerFlowTable() *Table {
 		Header: []string{"flows", "protocol", "normalized_throughput"},
 	}
 	for _, p := range r.Points {
-		for proto, values := range map[string][]float64{
-			workload.TCPPR:   p.PerFlow[workload.TCPPR],
-			workload.TCPSACK: p.PerFlow[workload.TCPSACK],
-		} {
-			for _, v := range values {
+		for _, proto := range []string{workload.TCPPR, workload.TCPSACK} {
+			for _, v := range p.PerFlow[proto] {
 				t.AddRow(fmt.Sprint(p.Flows), proto, f3(v))
 			}
 		}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
@@ -30,11 +30,9 @@ type Fig3Config struct {
 	Seeds int
 	// Durations control warm-up and measurement windows.
 	Durations Durations
-	// Metrics, when non-nil, writes per-cell time series and manifests.
-	Metrics *MetricsOptions
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
+	// Obs, when non-nil, is the run's telemetry session; every cell runs
+	// inside one of its scopes.
+	Obs *runobs.Session
 }
 
 func (c *Fig3Config) fill() {
@@ -87,15 +85,12 @@ func RunFig3(cfg Fig3Config) Fig3Result {
 	points := parallelMap(len(cells), func(i int) Fig3Point {
 		c := cells[i]
 		s := fig3Scenario(cfg.Topology, cfg.Flows, c.bw)
-		name := fmt.Sprintf("fig3_%s_bw%g_seed%d", cfg.Topology, c.bw, c.seed)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
-		flows := mixedRunSeeded(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{}, cfg.Durations, int64(c.seed), obs, ic)
-		ic.finish()
-		defer obs.finish("fig3", cfg.Topology, "TCP-PR vs TCP-SACK", int64(c.seed),
-			map[string]float64{"bw_mbps": c.bw, "flows": float64(cfg.Flows)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
+		sc := cfg.Obs.Open(fmt.Sprintf("fig3_%s_bw%g_seed%d", cfg.Topology, c.bw, c.seed),
+			cfg.Durations.total(), s.net, s.sched)
+		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
+			workload.PRParams{}, cfg.Durations, jitteredStarts(len(s.slots), int64(c.seed)), sc)
+		sc.Finish(runobs.Fields{Experiment: "fig3", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Seed: int64(c.seed), Params: map[string]float64{"bw_mbps": c.bw, "flows": float64(cfg.Flows)}})
 		bytes := make([]float64, len(flows))
 		for j, f := range flows {
 			bytes[j] = float64(f.WindowBytes())
@@ -131,32 +126,16 @@ func fig3Scenario(topology string, n int, bwMbps float64) scenario {
 	}
 }
 
-// mixedRunSeeded is mixedRun with seed-dependent start-time jitter, so
+// jitteredStarts is staggeredStarts plus seed-dependent jitter, so
 // repeated runs of the same configuration sample different phase
 // alignments (the paper repeats each Fig 3 point ten times).
-func mixedRunSeeded(s scenario, protoA, protoB string, pr workload.PRParams, d Durations, seed int64, obs *cellObserver, ic *invCell) []*workload.Flow {
-	n := len(s.slots)
-	base := workload.StaggeredStarts(n, 0, 5*time.Second)
+func jitteredStarts(n int, seed int64) []time.Duration {
+	starts := staggeredStarts(n)
 	rng := sim.NewRand(sim.SplitSeed(991, seed))
-	flows := make([]*workload.Flow, 0, n)
-	for i, slot := range s.slots {
-		proto := protoA
-		if i%2 == 1 {
-			proto = protoB
-		}
-		start := base[i] + time.Duration(rng.Int63n(int64(500*time.Millisecond)))
-		f := tcp.NewFlow(s.net, i+1, slot.src, slot.dst, slot.fwd, slot.rev)
-		flows = append(flows, workload.NewFlow(f, proto, pr, start))
+	for i := range starts {
+		starts[i] += time.Duration(rng.Int63n(int64(500 * time.Millisecond)))
 	}
-	obs.flows(flows...)
-	obs.links(s.bottlenecks...)
-	ic.flows(flows...)
-	ic.mirror(obs)
-	for _, f := range flows {
-		f.MarkWindow(s.sched, d.Warm, d.Warm+d.Measure)
-	}
-	s.sched.RunUntil(d.Warm + d.Measure)
-	return flows
+	return starts
 }
 
 // Table renders per-point rows plus per-bandwidth means.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"tcppr/internal/runobs"
 	"tcppr/internal/stats"
 	"tcppr/internal/workload"
 )
@@ -21,11 +22,9 @@ type Fig4Config struct {
 	Flows int
 	// Durations control warm-up and measurement windows.
 	Durations Durations
-	// Metrics, when non-nil, writes per-cell time series and manifests.
-	Metrics *MetricsOptions
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
+	// Obs, when non-nil, is the run's telemetry session; every cell runs
+	// inside one of its scopes.
+	Obs *runobs.Session
 }
 
 func (c *Fig4Config) fill() {
@@ -74,15 +73,12 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 	points := parallelMap(len(cells), func(i int) Fig4Point {
 		c := cells[i]
 		s := buildScenario(cfg.Topology, cfg.Flows)
-		name := fmt.Sprintf("fig4_%s_a%g_b%g", cfg.Topology, c.alpha, c.beta)
-		obs := cfg.Metrics.observe(name, s.sched)
-		ic := cfg.Invariants.watch(name, s.sched, s.net)
+		sc := cfg.Obs.Open(fmt.Sprintf("fig4_%s_a%g_b%g", cfg.Topology, c.alpha, c.beta),
+			cfg.Durations.total(), s.net, s.sched)
 		flows := mixedRun(s, workload.TCPPR, workload.TCPSACK,
-			workload.PRParams{Alpha: c.alpha, Beta: c.beta}, cfg.Durations, obs, ic)
-		ic.finish()
-		defer obs.finish("fig4", cfg.Topology, "TCP-PR vs TCP-SACK", 0,
-			map[string]float64{"alpha": c.alpha, "beta": c.beta, "flows": float64(cfg.Flows)},
-			cfg.Durations.Warm+cfg.Durations.Measure)
+			workload.PRParams{Alpha: c.alpha, Beta: c.beta}, cfg.Durations, staggeredStarts(len(s.slots)), sc)
+		sc.Finish(runobs.Fields{Experiment: "fig4", Topology: cfg.Topology, Variant: "TCP-PR vs TCP-SACK",
+			Params: map[string]float64{"alpha": c.alpha, "beta": c.beta, "flows": float64(cfg.Flows)}})
 		bytes := make([]float64, len(flows))
 		for j, f := range flows {
 			bytes[j] = float64(f.WindowBytes())

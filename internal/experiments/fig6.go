@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -32,11 +33,13 @@ type Fig6Config struct {
 	Durations Durations
 	// Seed feeds the per-packet path choices.
 	Seed int64
-	// Metrics, when non-nil, writes per-cell time series and manifests.
-	Metrics *MetricsOptions
-	// Invariants, when non-nil, attaches the conformance oracle to every
-	// cell and folds violations into the shared summary.
-	Invariants *InvariantOptions
+	// Obs, when non-nil, is the run's telemetry session; every cell runs
+	// inside one of its scopes.
+	Obs *runobs.Session
+
+	// experiment names the cells' scopes and manifests; empty selects
+	// "fig6" (the ext-door comparison reuses this runner under its own).
+	experiment string
 }
 
 func (c *Fig6Config) fill() {
@@ -57,6 +60,9 @@ func (c *Fig6Config) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
+	}
+	if c.experiment == "" {
+		c.experiment = "fig6"
 	}
 }
 
@@ -111,13 +117,6 @@ func runFig6Cell(cfg Fig6Config, proto string, eps float64, delay time.Duration)
 	rev := routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(sim.SplitSeed(cfg.Seed, 2)))
 	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	name := fmt.Sprintf("fig6_%s_eps%g_d%dms", proto, eps, delay.Milliseconds())
-	obs := cfg.Metrics.observe(name, sched)
-	obs.flows(wf)
-	obs.links(m.Net.Links()...)
-	ic := cfg.Invariants.watch(name, sched, m.Net)
-	ic.flows(wf)
-	ic.mirror(obs)
 	// Convergence to steady state through congestion avoidance scales
 	// with the bandwidth-delay product, so the warm-up scales with the
 	// link delay (60 ms links need ~6x the 10 ms warm-up).
@@ -125,12 +124,14 @@ func runFig6Cell(cfg Fig6Config, proto string, eps float64, delay time.Duration)
 	if warm < cfg.Durations.Warm {
 		warm = cfg.Durations.Warm
 	}
+	sc := cfg.Obs.Open(fmt.Sprintf("%s_%s_eps%g_d%dms", cfg.experiment, proto, eps, delay.Milliseconds()),
+		warm+cfg.Durations.Measure, m.Net, sched)
+	sc.Flows(wf)
+	sc.Links(m.Net.Links()...)
 	wf.MarkWindow(sched, warm, warm+cfg.Durations.Measure)
 	sched.RunUntil(warm + cfg.Durations.Measure)
-	ic.finish()
-	obs.finish("fig6", "multipath", proto, cfg.Seed,
-		map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds()), "paths": float64(cfg.Paths)},
-		warm+cfg.Durations.Measure)
+	sc.Finish(runobs.Fields{Experiment: cfg.experiment, Topology: "multipath", Variant: proto, Seed: cfg.Seed,
+		Params: map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds()), "paths": float64(cfg.Paths)}})
 	return stats.Mbps(stats.Throughput(wf.WindowBytes(), cfg.Durations.Measure))
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tcppr/internal/metrics"
+	"tcppr/internal/runobs"
 )
 
 // TestMetricsDeterminism is the subsystem's central guarantee: observation
@@ -20,7 +21,7 @@ func TestMetricsDeterminism(t *testing.T) {
 	bare := RunFig2(base)
 
 	withMetrics := base
-	withMetrics.Metrics = &MetricsOptions{Dir: t.TempDir()}
+	withMetrics.Obs = runobs.NewSession(runobs.Options{MetricsDir: t.TempDir()})
 	observed := RunFig2(withMetrics)
 
 	if !reflect.DeepEqual(bare.Points, observed.Points) {
@@ -34,8 +35,8 @@ func TestMetricsDeterminism(t *testing.T) {
 // queue-depth series, plus the run-level aggregate.
 func TestMetricsCellArtifacts(t *testing.T) {
 	dir := t.TempDir()
-	mopts := &MetricsOptions{Dir: dir}
-	RunFig2(Fig2Config{Topology: "dumbbell", FlowCounts: []int{4}, Durations: Quick, Metrics: mopts})
+	mopts := runobs.NewSession(runobs.Options{MetricsDir: dir})
+	RunFig2(Fig2Config{Topology: "dumbbell", FlowCounts: []int{4}, Durations: Quick, Obs: mopts})
 
 	man, err := metrics.ReadManifest(filepath.Join(dir, "fig2_dumbbell_n4.manifest.json"))
 	if err != nil {

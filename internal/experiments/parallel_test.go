@@ -87,19 +87,3 @@ func TestParallelMapConcurrentWithSetParallelism(t *testing.T) {
 	}
 	<-done
 }
-
-func TestInvariantOptionsConcurrentFold(t *testing.T) {
-	// Cells fold their violation summaries into one shared InvariantOptions
-	// from parallelMap workers; the fold must be race-free and lossless.
-	opts := &InvariantOptions{}
-	parallelMap(64, func(i int) struct{} {
-		opts.record(CellViolations{Cell: "cell", Total: 1})
-		return struct{}{}
-	})
-	if got := opts.Cells(); got != 64 {
-		t.Fatalf("Cells() = %d, want 64", got)
-	}
-	if got := opts.Total(); got != 64 {
-		t.Fatalf("Total() = %d, want 64", got)
-	}
-}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
+	"tcppr/internal/runobs"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
@@ -18,11 +18,14 @@ type RunConfig struct {
 	// Durations sets the simulated warm-up and measurement windows. The
 	// zero value selects Full, matching the per-figure configs.
 	Durations Durations
-	// Metrics, when non-nil, writes per-cell time series and manifests
-	// (plus a run aggregate for the figure-grade experiments). Only the
-	// experiments that plumb observers honor it: fig2, fig3, fig4, fig6,
-	// and faultmatrix.
-	Metrics *MetricsOptions
+	// Obs, when non-nil, is the run's telemetry session (internal/runobs):
+	// what it asks for — per-cell series and manifests plus a run
+	// aggregate, the invariant oracle (a violation in any cell fails the
+	// run with a descriptive error; checking also arms the event/packet
+	// pool ownership checks), per-cell Perfetto traces, span TSVs and
+	// flight dumps, heartbeat / engine profile / watchdog — applies to
+	// every simulation cell of every experiment alike.
+	Obs *runobs.Session
 	// CSVDir, when non-empty, is the directory the experiment's raw
 	// per-point CSV files are written into, under the same file names the
 	// CLI has always used. Empty disables CSV output.
@@ -40,38 +43,11 @@ type RunConfig struct {
 	// that shard count instead of its default {1, 4} scaling sweep. The
 	// per-figure experiments run on one scheduler and ignore it.
 	Shards int
-	// CheckInvariants attaches the internal/invariant conformance oracle
-	// to every simulation cell. The run fails with a descriptive error if
-	// any cell violates a conservation or protocol-conformance rule. It
-	// also arms the event/packet pool ownership checks for the checked
-	// cells.
-	CheckInvariants bool
 	// Repair, when non-empty, pins the repair-middlebox matrix to exactly
 	// that repair scenario (a netem.RepairScenario name) instead of its
 	// default {none, repair, repair-tight} sweep. Experiments without a
 	// middlebox axis ignore it.
 	Repair string
-	// Engine, when non-nil and enabled, arms the internal/engineobs
-	// telemetry stack (per-shard window profiler, live heartbeat, stall
-	// watchdog) on the experiments that drive the parallel engine —
-	// currently the city scaling sweep; others ignore it.
-	Engine *EngineOptions
-	// Trace, when non-nil, attaches the internal/span causal tracer to
-	// every simulation cell that plumbs it (currently faultmatrix),
-	// exporting per-cell Perfetto traces and span TSVs — plus flight dumps
-	// when combined with CheckInvariants and Trace.FlightRecorder. The
-	// artifact names are recorded in the cell manifests when Metrics is
-	// also set.
-	Trace *TraceOptions
-}
-
-// invariants returns the shared per-run invariant options (nil when
-// checking is off).
-func (c RunConfig) invariants() *InvariantOptions {
-	if !c.CheckInvariants {
-		return nil
-	}
-	return &InvariantOptions{}
 }
 
 // durations resolves the zero value to the paper's full protocol.
@@ -114,38 +90,24 @@ type report struct {
 func (r report) Tables() []*Table    { return r.tables }
 func (r report) CSVFiles() []CSVFile { return r.csvs }
 
-// finish completes a spec run: surface any invariant violations as the
-// run's error, fold the metrics aggregate (figure-grade experiments only),
-// write the CSV exports, and hand the report back.
-func (r report) finish(cfg RunConfig, inv *InvariantOptions, name string, aggregate bool) (Report, error) {
-	if err := inv.Err(); err != nil {
+// finish completes a spec run: surface a failed export or any invariant
+// violation as the run's error, write the metrics aggregate and the CSV
+// exports, and hand the report back.
+func (r report) finish(cfg RunConfig, name string) (Report, error) {
+	if err := cfg.Obs.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	if aggregate && cfg.Metrics != nil {
-		if err := cfg.Metrics.WriteAggregate(name); err != nil {
-			return nil, fmt.Errorf("%s: aggregate: %w", name, err)
-		}
+	if err := cfg.Obs.WriteAggregate(name); err != nil {
+		return nil, fmt.Errorf("%s: aggregate: %w", name, err)
 	}
 	if cfg.CSVDir != "" {
 		for _, f := range r.csvs {
-			if err := writeCSVFile(filepath.Join(cfg.CSVDir, f.Name), f.Table); err != nil {
+			if err := runobs.WriteFile(filepath.Join(cfg.CSVDir, f.Name), f.Table.WriteCSV); err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
 		}
 	}
 	return r, nil
-}
-
-func writeCSVFile(path string, t *Table) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Spec is one registered experiment: a stable CLI name, a one-line
@@ -188,9 +150,8 @@ var specs = []Spec{
 		Describe: "Fig 2 fairness: TCP-PR vs TCP-SACK normalized throughput across flow counts",
 		Run: func(cfg RunConfig) (Report, error) {
 			var rep report
-			inv := cfg.invariants()
 			for _, topology := range cfg.topologies() {
-				c := Fig2Config{Topology: topology, Durations: cfg.durations(), Metrics: cfg.Metrics, Invariants: inv}
+				c := Fig2Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
 				if cfg.Smoke {
 					c.FlowCounts = []int{8}
 				}
@@ -198,7 +159,7 @@ var specs = []Spec{
 				rep.tables = append(rep.tables, res.Table())
 				rep.csvs = append(rep.csvs, CSVFile{"fig2_" + topology + ".csv", res.PerFlowTable()})
 			}
-			return rep.finish(cfg, inv, "fig2", true)
+			return rep.finish(cfg, "fig2")
 		},
 	},
 	{
@@ -206,9 +167,8 @@ var specs = []Spec{
 		Describe: "Fig 3 CoV of throughput vs loss rate, repeated over seeds",
 		Run: func(cfg RunConfig) (Report, error) {
 			var rep report
-			inv := cfg.invariants()
 			for _, topology := range cfg.topologies() {
-				c := Fig3Config{Topology: topology, Durations: cfg.durations(), Metrics: cfg.Metrics, Invariants: inv}
+				c := Fig3Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
 				if cfg.Smoke {
 					c.BandwidthsMbps = []float64{10}
 					c.Seeds = 1
@@ -218,7 +178,7 @@ var specs = []Spec{
 				rep.tables = append(rep.tables, res.MeanTable())
 				rep.csvs = append(rep.csvs, CSVFile{"fig3_" + topology + ".csv", res.Table()})
 			}
-			return rep.finish(cfg, inv, "fig3", true)
+			return rep.finish(cfg, "fig3")
 		},
 	},
 	{
@@ -226,9 +186,8 @@ var specs = []Spec{
 		Describe: "Fig 4 alpha/beta sensitivity grid against TCP-SACK",
 		Run: func(cfg RunConfig) (Report, error) {
 			var rep report
-			inv := cfg.invariants()
 			for _, topology := range cfg.topologies() {
-				c := Fig4Config{Topology: topology, Durations: cfg.durations(), Metrics: cfg.Metrics, Invariants: inv}
+				c := Fig4Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
 				if cfg.Smoke {
 					c.Alphas = []float64{0.995}
 					c.Betas = []float64{3}
@@ -238,15 +197,14 @@ var specs = []Spec{
 				rep.tables = append(rep.tables, res.Table())
 				rep.csvs = append(rep.csvs, CSVFile{"fig4_" + topology + ".csv", res.Table()})
 			}
-			return rep.finish(cfg, inv, "fig4", true)
+			return rep.finish(cfg, "fig4")
 		},
 	},
 	{
 		Name:     "fig6",
 		Describe: "Fig 6 multipath comparison across protocols, epsilons, and link delays",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := Fig6Config{Durations: cfg.durations(), Seed: cfg.Seed, Metrics: cfg.Metrics, Invariants: inv}
+			c := Fig6Config{Durations: cfg.durations(), Seed: cfg.Seed, Obs: cfg.Obs}
 			if cfg.Smoke {
 				c.Protocols = []string{workload.TCPPR, workload.TCPSACK}
 				c.Epsilons = []float64{1}
@@ -258,15 +216,14 @@ var specs = []Spec{
 				rep.tables = append(rep.tables, t)
 				rep.csvs = append(rep.csvs, CSVFile{fmt.Sprintf("fig6_delay%d.csv", i), t})
 			}
-			return rep.finish(cfg, inv, "fig6", true)
+			return rep.finish(cfg, "fig6")
 		},
 	},
 	{
 		Name:     "ablation-beta",
 		Describe: "Ablation: beta under heavy loss (the paper's §4 note)",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := AblationBetaConfig{Durations: cfg.durations(), Invariants: inv}
+			c := AblationBetaConfig{Durations: cfg.durations(), Obs: cfg.Obs}
 			if cfg.Smoke {
 				c.Betas = []float64{3}
 				c.Flows = 8
@@ -276,80 +233,73 @@ var specs = []Spec{
 				tables: []*Table{res.Table()},
 				csvs:   []CSVFile{{"ablation_beta.csv", res.Table()}},
 			}
-			return rep.finish(cfg, inv, "ablation-beta", false)
+			return rep.finish(cfg, "ablation-beta")
 		},
 	},
 	{
 		Name:     "ablation-memorize",
 		Describe: "Ablation: memorize list on vs off under burst loss",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			res := RunAblationMemorize(cfg.durations(), inv)
+			res := RunAblationMemorize(cfg.durations(), cfg.Obs)
 			rep := report{tables: []*Table{
 				res.Table("Ablation: memorize list (single flow, lossy dumbbell)"),
 			}}
-			return rep.finish(cfg, inv, "ablation-memorize", false)
+			return rep.finish(cfg, "ablation-memorize")
 		},
 	},
 	{
 		Name:     "ablation-sendcwnd",
 		Describe: "Ablation: halve from send-time cwnd vs current cwnd",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			res := RunAblationSendCwnd(cfg.durations(), inv)
+			res := RunAblationSendCwnd(cfg.durations(), cfg.Obs)
 			rep := report{tables: []*Table{
 				res.Table("Ablation: halve from send-time cwnd vs current cwnd"),
 			}}
-			return rep.finish(cfg, inv, "ablation-sendcwnd", false)
+			return rep.finish(cfg, "ablation-sendcwnd")
 		},
 	},
 	{
 		Name:     "ablation-holemode",
 		Describe: "Ablation: hole-handling policy while the cumulative ACK is frozen",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			rep := report{tables: []*Table{RunAblationHoleMode(cfg.durations(), inv)}}
-			return rep.finish(cfg, inv, "ablation-holemode", false)
+			rep := report{tables: []*Table{RunAblationHoleMode(cfg.durations(), cfg.Obs)}}
+			return rep.finish(cfg, "ablation-holemode")
 		},
 	},
 	{
 		Name:     "ext-threshold",
 		Describe: "Extension: loss-detection threshold sweep over a recorded trace",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			t := RunThresholdSweep(cfg.durations(), inv)
+			t := RunThresholdSweep(cfg.durations(), cfg.Obs)
 			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"ext_threshold.csv", t}}}
-			return rep.finish(cfg, inv, "ext-threshold", false)
+			return rep.finish(cfg, "ext-threshold")
 		},
 	},
 	{
 		Name:     "ext-reorder",
 		Describe: "Extension: how much reordering each epsilon actually produces",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			t := ReorderTable(RunReorderProfile(cfg.durations(), 0, inv))
+			t := ReorderTable(RunReorderProfile(cfg.durations(), 0, cfg.Obs))
 			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"ext_reorder.csv", t}}}
-			return rep.finish(cfg, inv, "ext-reorder", false)
+			return rep.finish(cfg, "ext-reorder")
 		},
 	},
 	{
 		Name:     "ext-robustness",
 		Describe: "Extension: goodput under ACK loss, delayed ACKs, jitter, and RED",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			res := RunRobustness(cfg.durations(), inv)
+			res := RunRobustness(cfg.durations(), cfg.Obs)
 			rep := report{
 				tables: []*Table{res.Table()},
 				csvs:   []CSVFile{{"ext_robustness.csv", res.Table()}},
 			}
-			return rep.finish(cfg, inv, "ext-robustness", false)
+			return rep.finish(cfg, "ext-robustness")
 		},
 	},
 	{
 		Name:     "ext-door",
 		Describe: "Extension: Fig 6 protocol set plus TCP-DOOR and Eifel",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
 			var res Fig6Result
 			if cfg.Smoke {
 				res = RunFig6(Fig6Config{
@@ -358,10 +308,11 @@ var specs = []Spec{
 					LinkDelays: []time.Duration{10 * time.Millisecond},
 					Durations:  cfg.durations(),
 					Seed:       cfg.Seed,
-					Invariants: inv,
+					Obs:        cfg.Obs,
+					experiment: "ext-door",
 				})
 			} else {
-				res = RunExtComparison(cfg.durations(), inv)
+				res = RunExtComparison(cfg.durations(), cfg.Obs)
 			}
 			var rep report
 			for _, t := range res.Table() {
@@ -369,7 +320,7 @@ var specs = []Spec{
 				rep.tables = append(rep.tables, t)
 				rep.csvs = append(rep.csvs, CSVFile{"ext_door.csv", t})
 			}
-			return rep.finish(cfg, inv, "ext-door", false)
+			return rep.finish(cfg, "ext-door")
 		},
 	},
 	{
@@ -377,12 +328,12 @@ var specs = []Spec{
 		Describe: "Sharded-city scaling: sim-s/wall-s of the parallel engine at 1 vs 4 shards",
 		Run: func(cfg RunConfig) (Report, error) {
 			c := CityConfig{
-				City:            topo.CityConfig{Districts: 8, HostsPerDistrict: 16},
-				ShardCounts:     []int{1, 4},
-				Seed:            cfg.Seed,
-				Horizon:         3 * time.Second,
-				SourcesPerHost:  4,
-				CheckInvariants: cfg.CheckInvariants,
+				City:           topo.CityConfig{Districts: 8, HostsPerDistrict: 16},
+				ShardCounts:    []int{1, 4},
+				Seed:           cfg.Seed,
+				Horizon:        3 * time.Second,
+				SourcesPerHost: 4,
+				Obs:            cfg.Obs,
 			}
 			if c.Seed == 0 {
 				c.Seed = 42
@@ -396,28 +347,20 @@ var specs = []Spec{
 			if cfg.Shards > 0 {
 				c.ShardCounts = []int{cfg.Shards}
 			}
-			c.Engine = cfg.Engine
 			res, err := RunCityScaling(c)
 			if err != nil {
 				return nil, err
 			}
-			for i, run := range res.Runs {
-				if run.Violations > 0 {
-					return nil, fmt.Errorf("city: %d invariant violation(s) at %d shards",
-						run.Violations, c.ShardCounts[i])
-				}
-			}
 			t := res.Table()
 			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"city_scaling.csv", t}}}
-			return rep.finish(cfg, nil, "city", false)
+			return rep.finish(cfg, "city")
 		},
 	},
 	{
 		Name:     "faultmatrix",
 		Describe: "Survival matrix: every protocol against every scripted fault scenario",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := FaultMatrixConfig{Seed: cfg.Seed, Metrics: cfg.Metrics, Invariants: inv, Trace: cfg.Trace}
+			c := FaultMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
 			// The fault matrix measures absolute simulated time, not a
 			// warm/measure split; Quick (and Smoke) map to its shortened
 			// run the CLI's -quick always used.
@@ -433,15 +376,14 @@ var specs = []Spec{
 				tables: []*Table{res.Table()},
 				csvs:   []CSVFile{{"faultmatrix.csv", res.Table()}},
 			}
-			return rep.finish(cfg, inv, "faultmatrix", true)
+			return rep.finish(cfg, "faultmatrix")
 		},
 	},
 	{
 		Name:     "churnmatrix",
 		Describe: "Endpoint-churn matrix: retrying workloads against host blip/reboot/flap/death",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := ChurnMatrixConfig{Seed: cfg.Seed, Metrics: cfg.Metrics, Invariants: inv, Trace: cfg.Trace}
+			c := ChurnMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
 			// Like the fault matrix, this measures absolute simulated
 			// time; Quick/Smoke trim the run and the protocol set.
 			if cfg.Smoke || cfg.Durations == Quick {
@@ -463,15 +405,14 @@ var specs = []Spec{
 					{"churnmatrix_events.csv", res.EventsTable()},
 				},
 			}
-			return rep.finish(cfg, inv, "churnmatrix", true)
+			return rep.finish(cfg, "churnmatrix")
 		},
 	},
 	{
 		Name:     "reordermatrix",
 		Describe: "Reordering survival matrix: every protocol against every canned reorder model",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := ReorderMatrixConfig{Seed: cfg.Seed, Metrics: cfg.Metrics, Invariants: inv, Trace: cfg.Trace}
+			c := ReorderMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
 			// Absolute simulated time, like the other matrices. Quick and
 			// Smoke trim the run; Smoke also trims the protocol axis to
 			// the headline comparison (TCP-PR vs the dupack-threshold
@@ -493,15 +434,14 @@ var specs = []Spec{
 					{"reordermatrix_displacement.csv", res.DisplacementTable()},
 				},
 			}
-			return rep.finish(cfg, inv, "reordermatrix", true)
+			return rep.finish(cfg, "reordermatrix")
 		},
 	},
 	{
 		Name:     "repairmatrix",
 		Describe: "Repair-middlebox matrix: reorder models × repair boxes × every protocol",
 		Run: func(cfg RunConfig) (Report, error) {
-			inv := cfg.invariants()
-			c := RepairMatrixConfig{Seed: cfg.Seed, Metrics: cfg.Metrics, Invariants: inv, Trace: cfg.Trace}
+			c := RepairMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
 			// Absolute simulated time, like the other matrices. Quick and
 			// Smoke trim the run; Smoke also trims the protocol and model
 			// axes to the headline comparison (the swap model punishes
@@ -528,7 +468,7 @@ var specs = []Spec{
 					{"repairmatrix_detail.csv", res.DetailTable()},
 				},
 			}
-			return rep.finish(cfg, inv, "repairmatrix", true)
+			return rep.finish(cfg, "repairmatrix")
 		},
 	},
 }

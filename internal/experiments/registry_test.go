@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tcppr/internal/runobs"
 )
 
 // TestRegistryNamesStable pins the CLI-visible experiment names: renaming or
@@ -73,7 +75,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			rep, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true, CheckInvariants: true})
+			rep, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true, Obs: runobs.NewSession(runobs.Options{Check: true})})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -29,8 +30,7 @@ type ReorderPoint struct {
 // RunReorderProfile measures the reordering profile of the ε-multipath
 // family on the Fig 5 topology — the supplementary "how much reordering
 // is ε=k, actually?" table the paper's reader inevitably wants.
-func RunReorderProfile(d Durations, linkDelay time.Duration, inv ...*InvariantOptions) []ReorderPoint {
-	opts := firstInv(inv)
+func RunReorderProfile(d Durations, linkDelay time.Duration, obs *runobs.Session) []ReorderPoint {
 	if linkDelay == 0 {
 		linkDelay = 10 * time.Millisecond
 	}
@@ -39,17 +39,18 @@ func RunReorderProfile(d Durations, linkDelay time.Duration, inv ...*InvariantOp
 		e := eps[i]
 		sched := sim.NewScheduler()
 		m := topo.NewMultipath(sched, 3, linkDelay)
-		ic := opts.watch(fmt.Sprintf("ext-reorder_eps%g", e), sched, m.Net)
+		sc := obs.Open(fmt.Sprintf("ext-reorder_eps%g", e), d.total(), m.Net, sched)
 		fwd := routing.NewEpsilon(m.FwdPaths, e, sim.NewRand(sim.SplitSeed(71, int64(i))))
 		rev := routing.NewEpsilon(m.RevPaths, e, sim.NewRand(sim.SplitSeed(72, int64(i))))
 		f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 		rec := trace.NewRecorder()
 		rec.Attach(f)
 		wf := workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
-		ic.flows(wf)
+		sc.Flows(wf)
 		wf.MarkWindow(sched, d.Warm, d.Warm+d.Measure)
 		sched.RunUntil(d.Warm + d.Measure)
-		ic.finish()
+		sc.Finish(runobs.Fields{Experiment: "ext-reorder", Topology: "multipath", Variant: workload.TCPPR,
+			Params: map[string]float64{"eps": e, "delay_ms": float64(linkDelay.Milliseconds())}})
 		_, med, max := rec.ReorderExtents()
 		return ReorderPoint{
 			Epsilon:     e,

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -34,16 +31,10 @@ type ReorderMatrixConfig struct {
 	// so a cell's arrival permutation — and therefore its artifacts — is
 	// a pure function of (Seed, cell). Zero selects 1.
 	Seed int64
-	// MeterCap is how many displacement-histogram buckets each cell
-	// tracks exactly (larger displacements aggregate into an overflow
-	// bucket); zero selects 16.
-	MeterCap int
-	// Metrics, Invariants, Trace behave as in FaultMatrixConfig. With
-	// Metrics set, each cell additionally samples the reordering
+	// Obs is the run's telemetry session, as in FaultMatrixConfig. With
+	// metrics on, each cell additionally samples the reordering
 	// trajectories (reorder.rate / reorder.kbound / reorder.footrule).
-	Metrics    *MetricsOptions
-	Invariants *InvariantOptions
-	Trace      *TraceOptions
+	Obs *runobs.Session
 }
 
 func (c *ReorderMatrixConfig) fill() {
@@ -58,9 +49,6 @@ func (c *ReorderMatrixConfig) fill() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MeterCap == 0 {
-		c.MeterCap = 16
 	}
 }
 
@@ -109,90 +97,46 @@ type ReorderMatrixResult struct {
 // matrix, model-major in the configured order.
 func RunReorderMatrix(cfg ReorderMatrixConfig) (ReorderMatrixResult, error) {
 	cfg.fill()
-	res := ReorderMatrixResult{Config: cfg}
-	cell := 0
-	for _, name := range cfg.Models {
-		sc, err := netem.ReorderScenarioByName(name)
-		if err != nil {
-			return res, err
-		}
-		for _, proto := range cfg.Protocols {
-			if !workload.Known(proto) {
-				return res, fmt.Errorf("reordermatrix: unknown protocol %q", proto)
-			}
-			cell++
-			res.Cells = append(res.Cells, runReorderCell(sc, proto, cfg, cell))
-		}
-	}
-	return res, nil
+	cells, err := runMatrix(matrix{
+		name:   "reordermatrix",
+		axes:   []axis{{cfg.Models, catalog(netem.ReorderScenarioByName)}, {names: cfg.Protocols}},
+		total:  cfg.Total,
+		seed:   cfg.Seed,
+		params: map[string]float64{"meter_cap": meterCap},
+		obs:    cfg.Obs,
+	}, func(c *matrixCell) func() ReorderMatrixCell { return reorderCell(c, cfg) })
+	return ReorderMatrixResult{Cells: cells, Config: cfg}, err
 }
 
-// runReorderCell runs one protocol's long-lived flow against one reorder
+// reorderCell sets up one protocol's long-lived flow against one reorder
 // model on the bottleneck's data direction.
-func runReorderCell(sc netem.ReorderScenario, proto string, cfg ReorderMatrixConfig, cellIdx int) ReorderMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("reordermatrix_%s_%s", sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
-	// Each cell's model draws from its own split seed stream, so adding
-	// or reordering cells never perturbs another cell's permutation.
-	model := sc.New(sim.NewRand(sim.SplitSeed(cfg.Seed, int64(cellIdx))))
-	if model != nil {
-		db.Bottleneck.SetReorderModel(model)
+func reorderCell(c *matrixCell, cfg ReorderMatrixConfig) func() ReorderMatrixCell {
+	sc, _ := netem.ReorderScenarioByName(c.Key[0]) // runMatrix vouched for the name
+	proto := c.Key[1]
+	if model := sc.New(sim.NewRand(c.Seed)); model != nil {
+		c.DB.Bottleneck.SetReorderModel(model)
 	}
+	f := c.Flow()
+	meter := meterReordering(c, f)
+	c.Scope.Flows(workload.NewFlow(f, proto, workload.PRParams{}, 0))
 
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-
-	// The reorder meter rides the receiver's data-arrival hook: Seq is
-	// the send index (packets, ns-2 style) and retransmissions are
-	// excluded, matching the RFC 4737 convention trace.Recorder uses.
-	meter := stats.NewReorderMeter(cfg.MeterCap)
-	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
-		if !seg.Retx {
-			meter.Observe(seg.Seq)
+	return func() ReorderMatrixCell {
+		st := c.DB.Bottleneck.Stats()
+		return ReorderMatrixCell{
+			Model:        sc.Name,
+			Protocol:     proto,
+			GoodputMbps:  stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
+			RetxSegs:     f.DataRetx(),
+			ReorderRate:  meter.Rate(),
+			Footrule:     meter.Footrule(),
+			KBound:       meter.KBound(),
+			LateArrivals: meter.Late(),
+			Held:         st.ReorderHeld,
+			Released:     st.ReorderReleased,
+			Hist:         meter.Histogram(),
+			Overflow:     meter.Overflow(),
 		}
-	}}.Chain(f.Hooks)
-	if ob != nil {
-		metrics.InstrumentReorder(ob.samp, ob.reg, meter, "reorder")
 	}
-
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	ic.finish()
-	tc.finish(ob)
-
-	st := db.Bottleneck.Stats()
-	cell := ReorderMatrixCell{
-		Model:        sc.Name,
-		Protocol:     proto,
-		GoodputMbps:  stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
-		RetxSegs:     f.DataRetx(),
-		ReorderRate:  meter.Rate(),
-		Footrule:     meter.Footrule(),
-		KBound:       meter.KBound(),
-		LateArrivals: meter.Late(),
-		Held:         st.ReorderHeld,
-		Released:     st.ReorderReleased,
-		Hist:         meter.Histogram(),
-		Overflow:     meter.Overflow(),
-	}
-	if ob != nil {
-		ob.finish("reordermatrix", "dumbbell", sc.Name+"/"+proto, cfg.Seed,
-			map[string]float64{"meter_cap": float64(cfg.MeterCap)}, cfg.Total)
-	}
-	return cell
 }
 
 // Table renders the reorder matrix in long format: one row per cell with

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tcppr/internal/netem"
+	"tcppr/internal/runobs"
 	"tcppr/internal/workload"
 )
 
@@ -36,8 +37,8 @@ func TestReorderMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 11-variant × all-models cross product; skipped in -short mode")
 	}
-	inv := &InvariantOptions{}
-	cfg := ReorderMatrixConfig{Total: 12 * time.Second, Seed: 1, Invariants: inv}
+	inv := runobs.NewSession(runobs.Options{Check: true})
+	cfg := ReorderMatrixConfig{Total: 12 * time.Second, Seed: 1, Obs: inv}
 	res, err := RunReorderMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +151,7 @@ func TestReorderMatrixSpanTSVDeterministic(t *testing.T) {
 			Models:    []string{"swap-high"},
 			Total:     4 * time.Second,
 			Seed:      3,
-			Trace:     &TraceOptions{Dir: dir},
+			Obs:       runobs.NewSession(runobs.Options{TraceDir: dir}),
 		})
 		if err != nil {
 			t.Fatal(err)

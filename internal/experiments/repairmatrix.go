@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
@@ -41,12 +38,10 @@ type RepairMatrixConfig struct {
 	// so a cell's artifacts are a pure function of (Seed, cell). Zero
 	// selects 1.
 	Seed int64
-	// Metrics, Invariants, Trace behave as in ReorderMatrixConfig. With
-	// Invariants set, every cell is audited against the repair-ledger
-	// rule: custody must balance through the box and close at the horizon.
-	Metrics    *MetricsOptions
-	Invariants *InvariantOptions
-	Trace      *TraceOptions
+	// Obs is the run's telemetry session, as in ReorderMatrixConfig. With
+	// checking on, every cell is audited against the repair-ledger rule:
+	// custody must balance through the box and close at the horizon.
+	Obs *runobs.Session
 }
 
 func (c *RepairMatrixConfig) fill() {
@@ -112,114 +107,70 @@ type RepairMatrixResult struct {
 // matrix, box-major then model-major in the configured order.
 func RunRepairMatrix(cfg RepairMatrixConfig) (RepairMatrixResult, error) {
 	cfg.fill()
-	res := RepairMatrixResult{Config: cfg}
-	cell := 0
-	for _, boxName := range cfg.Boxes {
-		rsc, err := netem.RepairScenarioByName(boxName)
-		if err != nil {
-			return res, err
-		}
-		for _, name := range cfg.Models {
-			sc, err := netem.ReorderScenarioByName(name)
-			if err != nil {
-				return res, err
-			}
-			for _, proto := range cfg.Protocols {
-				if !workload.Known(proto) {
-					return res, fmt.Errorf("repairmatrix: unknown protocol %q", proto)
-				}
-				cell++
-				res.Cells = append(res.Cells, runRepairCell(rsc, sc, proto, cfg, cell))
-			}
-		}
-	}
-	return res, nil
+	cells, err := runMatrix(matrix{
+		name: "repairmatrix",
+		axes: []axis{
+			{cfg.Boxes, catalog(netem.RepairScenarioByName)},
+			{cfg.Models, catalog(netem.ReorderScenarioByName)},
+			{names: cfg.Protocols},
+		},
+		total: cfg.Total,
+		seed:  cfg.Seed,
+		obs:   cfg.Obs,
+	}, func(c *matrixCell) func() RepairMatrixCell { return repairCell(c, cfg) })
+	return RepairMatrixResult{Cells: cells, Config: cfg}, err
 }
 
-// runRepairCell runs one protocol's long-lived flow against one reorder
+// repairCell sets up one protocol's long-lived flow against one reorder
 // model on the bottleneck's data direction, with one repair scenario's
-// middlebox (or none) resequencing deliveries off the same link.
-func runRepairCell(rsc netem.RepairScenario, sc netem.ReorderScenario, proto string,
-	cfg RepairMatrixConfig, cellIdx int) RepairMatrixCell {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	rev := db.Net.FindLink("R", "L")
-
-	name := fmt.Sprintf("repairmatrix_%s_%s_%s", rsc.Name, sc.Name, proto)
-	ob := cfg.Metrics.observe(name, sched)
-	ob.links(db.Bottleneck, rev)
-	ic := cfg.Invariants.watch(name, sched, db.Net)
-	ic.mirror(ob)
-	tc := cfg.Trace.trace(name, sched, db.Net)
-	tc.armChecker(ic)
-
-	// Each cell's reorder model draws from its own split seed stream; the
-	// repair box is deterministic, so the cell's artifacts are a pure
-	// function of (Seed, cell).
-	model := sc.New(sim.NewRand(sim.SplitSeed(cfg.Seed, int64(cellIdx))))
-	if model != nil {
-		db.Bottleneck.SetReorderModel(model)
+// middlebox (or none) resequencing deliveries off the same link. The box
+// is deterministic, so the cell is a pure function of (Seed, cell).
+func repairCell(c *matrixCell, cfg RepairMatrixConfig) func() RepairMatrixCell {
+	rsc, _ := netem.RepairScenarioByName(c.Key[0]) // runMatrix vouched for the names
+	sc, _ := netem.ReorderScenarioByName(c.Key[1])
+	proto := c.Key[2]
+	if model := sc.New(sim.NewRand(c.Seed)); model != nil {
+		c.DB.Bottleneck.SetReorderModel(model)
 	}
 	box := rsc.New()
 	if box != nil {
-		db.Bottleneck.SetRepair(box)
+		c.DB.Bottleneck.SetRepair(box)
 	}
+	f := c.Flow()
+	meter := meterReordering(c, f)
+	c.Scope.Flows(workload.NewFlow(f, proto, workload.PRParams{}, 0))
 
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-
-	// The meter measures what the receiver still sees *after* the box —
-	// the residual reordering — with retransmissions excluded (RFC 4737).
-	meter := stats.NewReorderMeter(16)
-	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
-		if !seg.Retx {
-			meter.Observe(seg.Seq)
+	return func() RepairMatrixCell {
+		// The repair-ledger invariant requires custody to close at the
+		// horizon: flush the box before the scope finishes, exactly as a
+		// teardown would.
+		if box != nil {
+			box.Flush()
 		}
-	}}.Chain(f.Hooks)
-	if ob != nil {
-		metrics.InstrumentReorder(ob.samp, ob.reg, meter, "reorder")
-	}
-
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ob.flows(wf)
-	ic.flows(wf)
-	tc.flows(wf)
-	sched.RunUntil(sim.Time(cfg.Total))
-	// The repair-ledger invariant requires custody to close at the
-	// horizon: flush the box before Finish, exactly as a teardown would.
-	if box != nil {
-		box.Flush()
-	}
-	ic.finish()
-	tc.finish(ob)
-
-	st := db.Bottleneck.Stats()
-	cell := RepairMatrixCell{
-		Box:         rsc.Name,
-		Model:       sc.Name,
-		Protocol:    proto,
-		GoodputMbps: stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
-		RetxSegs:    f.DataRetx(),
-		ReorderRate: meter.Rate(),
-		KBound:      meter.KBound(),
-		Held:        st.RepairHeld,
-		Released:    st.RepairReleased,
-	}
-	if box != nil {
-		bs := box.Stats()
-		cell.TimedOut = bs.TimedOut
-		cell.OverflowForwarded = bs.OverflowForwarded
-		cell.OverflowDropped = bs.OverflowDropped
-		cell.Evicted = bs.Evicted
-		if bs.Released > 0 {
-			cell.MeanHoldMs = float64(bs.HoldTime.Milliseconds()) / float64(bs.Released)
+		st := c.DB.Bottleneck.Stats()
+		cell := RepairMatrixCell{
+			Box:         rsc.Name,
+			Model:       sc.Name,
+			Protocol:    proto,
+			GoodputMbps: stats.Mbps(stats.Throughput(f.UniqueBytes(), cfg.Total)),
+			RetxSegs:    f.DataRetx(),
+			ReorderRate: meter.Rate(),
+			KBound:      meter.KBound(),
+			Held:        st.RepairHeld,
+			Released:    st.RepairReleased,
 		}
+		if box != nil {
+			bs := box.Stats()
+			cell.TimedOut = bs.TimedOut
+			cell.OverflowForwarded = bs.OverflowForwarded
+			cell.OverflowDropped = bs.OverflowDropped
+			cell.Evicted = bs.Evicted
+			if bs.Released > 0 {
+				cell.MeanHoldMs = float64(bs.HoldTime.Milliseconds()) / float64(bs.Released)
+			}
+		}
+		return cell
 	}
-	if ob != nil {
-		ob.finish("repairmatrix", "dumbbell", rsc.Name+"/"+sc.Name+"/"+proto, cfg.Seed,
-			nil, cfg.Total)
-	}
-	return cell
 }
 
 // Table renders the repair matrix in long format: one row per cell with

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tcppr/internal/netem"
+	"tcppr/internal/runobs"
 	"tcppr/internal/workload"
 )
 
@@ -35,8 +36,8 @@ func TestRepairMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full boxes × models × 11-variant cross product; skipped in -short mode")
 	}
-	inv := &InvariantOptions{}
-	cfg := RepairMatrixConfig{Total: 12 * time.Second, Seed: 1, Invariants: inv}
+	inv := runobs.NewSession(runobs.Options{Check: true})
+	cfg := RepairMatrixConfig{Total: 12 * time.Second, Seed: 1, Obs: inv}
 	res, err := RunRepairMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
 	"tcppr/internal/tcp"
@@ -55,8 +56,7 @@ type RobustnessResult struct {
 
 // RunRobustness measures each protocol's single-flow goodput on a 15 Mbps
 // dumbbell under each impairment.
-func RunRobustness(d Durations, inv ...*InvariantOptions) RobustnessResult {
-	opts := firstInv(inv)
+func RunRobustness(d Durations, obs *runobs.Session) RobustnessResult {
 	protos := []string{workload.TCPPR, workload.TCPSACK, workload.NewReno, workload.TDFR}
 	res := RobustnessResult{
 		Protocols: protos,
@@ -66,16 +66,16 @@ func RunRobustness(d Durations, inv ...*InvariantOptions) RobustnessResult {
 	for _, sc := range RobustnessScenarios() {
 		res.Rows[sc] = make(map[string]float64)
 		for _, proto := range protos {
-			res.Rows[sc][proto] = runRobustnessCell(sc, proto, d, opts)
+			res.Rows[sc][proto] = runRobustnessCell(sc, proto, d, obs)
 		}
 	}
 	return res
 }
 
-func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, opts *InvariantOptions) float64 {
+func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, obs *runobs.Session) float64 {
 	sched := sim.NewScheduler()
 	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	ic := opts.watch(fmt.Sprintf("robustness %s %s", sc, proto), sched, db.Net)
+	scope := obs.Open(fmt.Sprintf("robustness %s %s", sc, proto), d.total(), db.Net, sched)
 	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
 		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
 
@@ -86,16 +86,16 @@ func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, opts *I
 	case ScenarioDelayedAcks:
 		f.DelayedAcks = true
 	case ScenarioJitter:
-		db.Bottleneck.SetJitter(30*time.Millisecond, sim.NewRand(18))
+		db.Bottleneck.SetImpairment(netem.NewJitter(30*time.Millisecond, sim.NewRand(18)))
 	case ScenarioRED:
 		db.Bottleneck.AttachRED(netem.NewRED(db.Bottleneck.QueueCap, sim.NewRand(19)))
 	}
 
 	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	ic.flows(wf)
+	scope.Flows(wf)
 	wf.MarkWindow(sched, d.Warm, d.Warm+d.Measure)
 	sched.RunUntil(d.Warm + d.Measure)
-	ic.finish()
+	scope.Finish(runobs.Fields{Experiment: "ext-robustness", Topology: "dumbbell", Variant: string(sc) + "/" + proto})
 	return stats.Mbps(stats.Throughput(wf.WindowBytes(), d.Measure))
 }
 

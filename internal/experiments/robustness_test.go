@@ -7,7 +7,7 @@ import (
 )
 
 func TestRobustnessGrid(t *testing.T) {
-	res := RunRobustness(Quick)
+	res := RunRobustness(Quick, nil)
 	get := func(sc RobustnessScenario, p string) float64 { return res.Rows[sc][p] }
 
 	// Baseline: everyone saturates the 15 Mbps bottleneck.

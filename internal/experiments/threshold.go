@@ -6,6 +6,7 @@ import (
 
 	"tcppr/internal/analysis"
 	"tcppr/internal/routing"
+	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
@@ -17,19 +18,18 @@ import (
 // technical report [5]: sweep β over a timing trace recorded from a real
 // TCP-PR flow under full multipath reordering (ε = 0, Fig 5 topology) and
 // report the false-drop rate and detection headroom for each value.
-func RunThresholdSweep(d Durations, inv ...*InvariantOptions) *Table {
+func RunThresholdSweep(d Durations, obs *runobs.Session) *Table {
 	sched := sim.NewScheduler()
 	m := topo.NewMultipath(sched, 3, 10*time.Millisecond)
-	ic := firstInv(inv).watch("ext-threshold", sched, m.Net)
+	sc := obs.Open("ext-threshold", d.total(), m.Net, sched)
 	fwd := routing.NewEpsilon(m.FwdPaths, 0, sim.NewRand(61))
 	rev := routing.NewEpsilon(m.RevPaths, 0, sim.NewRand(62))
 	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
 	rec := trace.NewRecorder()
 	rec.Attach(f)
-	workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
-	ic.flow(f, workload.TCPPR)
+	sc.Flows(workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0))
 	sched.RunUntil(d.Warm + d.Measure)
-	ic.finish()
+	sc.Finish(runobs.Fields{Experiment: "ext-threshold", Topology: "multipath", Variant: workload.TCPPR})
 
 	samples := analysis.ExtractSamples(rec)
 	betas := []float64{1.05, 1.25, 1.5, 2, 3, 5, 10}

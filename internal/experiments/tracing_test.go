@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tcppr/internal/metrics"
+	"tcppr/internal/runobs"
 	"tcppr/internal/span"
 	"tcppr/internal/workload"
 )
@@ -18,13 +19,13 @@ import (
 func TestFaultMatrixTraceArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	cfg := FaultMatrixConfig{
-		Protocols:  []string{workload.TCPPR},
-		Scenarios:  []string{"blackout-2s"},
-		Total:      10 * time.Second,
-		FaultAt:    2 * time.Second,
-		Metrics:    &MetricsOptions{Dir: dir},
-		Invariants: &InvariantOptions{},
-		Trace:      &TraceOptions{Dir: dir, FlightRecorder: true},
+		Protocols: []string{workload.TCPPR},
+		Scenarios: []string{"blackout-2s"},
+		Total:     10 * time.Second,
+		FaultAt:   2 * time.Second,
+		Obs: runobs.NewSession(runobs.Options{
+			MetricsDir: dir, Check: true, TraceDir: dir, FlightRecorder: true,
+		}),
 	}
 	if _, err := RunFaultMatrix(cfg); err != nil {
 		t.Fatal(err)
@@ -91,7 +92,7 @@ func TestFaultMatrixTraceDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := base
-	traced.Trace = &TraceOptions{Dir: t.TempDir(), FlightRecorder: true}
+	traced.Obs = runobs.NewSession(runobs.Options{TraceDir: t.TempDir(), FlightRecorder: true})
 	withTrace, err := RunFaultMatrix(traced)
 	if err != nil {
 		t.Fatal(err)

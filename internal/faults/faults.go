@@ -3,7 +3,7 @@
 // bandwidth and delay step changes, loss-rate ramps, loss-model swaps,
 // queue-capacity shrinks — plus the Gilbert–Elliott burst-loss model.
 //
-// The static impairment knobs in netem (SetLoss, SetJitter, RED) describe
+// The static impairment knobs in netem (SetLoss, Jitter, RED) describe
 // a network that misbehaves the same way for the whole run; the paper's §1
 // motivates TCP-PR with networks that misbehave *over time* — route flaps,
 // MANET re-routing, QoS elements that come and go. A Timeline expresses

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
@@ -68,7 +69,7 @@ func TestNoDeadlockUnderJitterAndLoss(t *testing.T) {
 			m := topo.NewMultipath(sched, 3, 10*time.Millisecond)
 			for i, p := range m.FwdPaths {
 				p[0].SetLoss(0.05, sim.NewRand(sim.SplitSeed(3000, int64(i))))
-				p[0].SetJitter(15*time.Millisecond, sim.NewRand(sim.SplitSeed(4000, int64(i))))
+				p[0].SetImpairment(netem.NewJitter(15*time.Millisecond, sim.NewRand(sim.SplitSeed(4000, int64(i)))))
 			}
 			fwd := routing.NewEpsilon(m.FwdPaths, 0, sim.NewRand(1))
 			rev := routing.NewEpsilon(m.RevPaths, 0, sim.NewRand(2))

@@ -81,7 +81,7 @@ func TestDropCauseAttribution(t *testing.T) {
 		},
 		{
 			name:  "corruption",
-			rig:   func(s *sim.Scheduler, l *Link) { l.SetCorruption(1, sim.NewRand(12)) },
+			rig:   func(s *sim.Scheduler, l *Link) { l.SetImpairment(NewCorruption(1, sim.NewRand(12))) },
 			cause: DropCorrupt,
 			want: func(st LinkStats) counts {
 				return counts{corrupted: st.Corrupted}
@@ -146,7 +146,7 @@ func TestObserverLifecycleAndTraceIDs(t *testing.T) {
 	s, net := newTestNet()
 	l1 := net.AddLink("a", "m", mbps(10), time.Millisecond, 64)
 	l2 := net.AddLink("m", "b", mbps(10), time.Millisecond, 64)
-	l2.SetDuplication(1, sim.NewRand(3)) // every packet duplicated on hop 2
+	l2.SetImpairment(NewDuplication(1, sim.NewRand(3))) // every packet duplicated on hop 2
 	net.Node("b").Handle(1, func(*Packet) {})
 	obs := &recordObs{}
 	net.SetObserver(obs)

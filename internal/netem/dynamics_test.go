@@ -132,7 +132,7 @@ func TestLinkQueueCapShrink(t *testing.T) {
 func TestLinkCorruption(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(100), 0, 1<<20)
-	l.SetCorruption(0.3, sim.NewRand(5))
+	l.SetImpairment(NewCorruption(0.3, sim.NewRand(5)))
 	delivered, dropped := 0, 0
 	net.Node("b").Handle(1, func(*Packet) { delivered++ })
 	l.OnDrop = func(*Packet) { dropped++ }
@@ -167,7 +167,7 @@ func TestLinkDuplication(t *testing.T) {
 	// Two hops so duplicates made on the first must forward over the second.
 	l1 := net.AddLink("a", "b", mbps(100), 0, 1<<20)
 	l2 := net.AddLink("b", "c", mbps(100), 0, 1<<20)
-	l1.SetDuplication(0.25, sim.NewRand(9))
+	l1.SetImpairment(NewDuplication(0.25, sim.NewRand(9)))
 	arrivals := 0
 	net.Node("c").Handle(1, func(*Packet) { arrivals++ })
 
@@ -223,8 +223,8 @@ func TestLinkDynamicSetterValidation(t *testing.T) {
 		"zero bandwidth": func() { l.SetBandwidth(0) },
 		"negative delay": func() { l.SetDelay(-time.Second) },
 		"zero queue":     func() { l.SetQueueCap(0) },
-		"corrupt > 1":    func() { l.SetCorruption(1.5, sim.NewRand(1)) },
-		"dup nil rng":    func() { l.SetDuplication(0.5, nil) },
+		"corrupt > 1":    func() { NewCorruption(1.5, sim.NewRand(1)) },
+		"dup nil rng":    func() { NewDuplication(0.5, nil) },
 	} {
 		func() {
 			defer func() {

@@ -96,7 +96,7 @@ func TestLinkJitterReordersPackets(t *testing.T) {
 	s, net := newTestNet()
 	// Tiny packets, large jitter: arrival order must scramble.
 	l := net.AddLink("a", "b", mbps(1000), time.Millisecond, 1<<20)
-	l.SetJitter(10*time.Millisecond, sim.NewRand(3))
+	l.SetImpairment(NewJitter(10*time.Millisecond, sim.NewRand(3)))
 	var order []uint64
 	net.Node("b").Handle(1, func(p *Packet) { order = append(order, p.ID) })
 	for i := 0; i < 200; i++ {
@@ -120,7 +120,7 @@ func TestLinkJitterReordersPackets(t *testing.T) {
 func TestLinkJitterBoundsDelay(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(10), 10*time.Millisecond, 100)
-	l.SetJitter(5*time.Millisecond, sim.NewRand(4))
+	l.SetImpairment(NewJitter(5*time.Millisecond, sim.NewRand(4)))
 	var arrivals []sim.Time
 	net.Node("b").Handle(1, func(*Packet) { arrivals = append(arrivals, s.Now()) })
 	for i := 0; i < 50; i++ {

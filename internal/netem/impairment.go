@@ -37,9 +37,9 @@ func (e *Effect) merge(o Effect) {
 // must not consult the RNG at all.
 //
 // The shipped implementations are Jitter, Corruption, Duplication, and
-// the composing Stack. The legacy SetJitter/SetCorruption/SetDuplication
-// setters remain as thin wrappers that assemble exactly that trio in the
-// historical draw order, byte-identical to the pre-interface link.
+// the composing Stack; Stack{Jitter, Corruption, Duplication} is the
+// historical draw order of the pre-interface link (pinned by
+// TestImpairmentStackMatchesLegacySetters).
 type Impairment interface {
 	// Apply returns the impairment effect for a packet of the given wire
 	// size. Called exactly once per accepted packet, in arrival order.
@@ -139,25 +139,5 @@ func (s Stack) Apply(size int) Effect {
 	for _, m := range s {
 		e.merge(m.Apply(size))
 	}
-	return e
-}
-
-// stdImpair is the composite the deprecated SetJitter/SetCorruption/
-// SetDuplication wrappers mutate. It reproduces the historical draw
-// order and enabling conditions exactly — jitter draws only when max > 0,
-// corruption and duplication only when their probability is > 0, each
-// from its own RNG — so golden traces stay byte-identical across the
-// setter-to-interface refactor.
-type stdImpair struct {
-	jitter  Jitter
-	corrupt Corruption
-	dup     Duplication
-}
-
-// Apply implements Impairment.
-func (s *stdImpair) Apply(size int) Effect {
-	e := s.jitter.Apply(size)
-	e.merge(s.corrupt.Apply(size))
-	e.merge(s.dup.Apply(size))
 	return e
 }

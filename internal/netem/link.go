@@ -25,14 +25,14 @@ type LinkStats struct {
 	// administratively down (SetDown).
 	BlackoutDropped uint64
 	// Corrupted is the number of packets that traversed the link but were
-	// discarded at the far end with a broken checksum (SetCorruption).
+	// discarded at the far end with a broken checksum (a Corruption impairment).
 	Corrupted uint64
 	// HostDownDropped is the number of packets killed because an endpoint
 	// host of this link was down (Node.SetDown): rejections at enqueue plus
 	// in-flight packets destroyed on delivery.
 	HostDownDropped uint64
 	// Duplicated is the number of extra packet copies the link delivered
-	// (SetDuplication); each copy also counts in Delivered.
+	// (a Duplication impairment); each copy also counts in Delivered.
 	Duplicated uint64
 	// ReorderHeld is the number of packets the reorder model took custody
 	// of (SetReorderModel); ReorderReleased the number it handed back.
@@ -170,81 +170,8 @@ func (l *Link) LossModel() LossModel { return l.loss }
 // admission.
 func (l *Link) SetImpairment(m Impairment) { l.impair = m }
 
-// Impairment returns the installed impairment process, or nil. A link
-// configured through the deprecated SetJitter/SetCorruption/
-// SetDuplication wrappers reports the composite those setters maintain.
+// Impairment returns the installed impairment process, or nil.
 func (l *Link) Impairment() Impairment { return l.impair }
-
-// std returns the legacy composite the deprecated setters mutate,
-// creating it on first use. The setters and SetImpairment are mutually
-// exclusive configuration styles; mixing them would silently discard one
-// side, so it panics instead.
-func (l *Link) std() *stdImpair {
-	switch m := l.impair.(type) {
-	case nil:
-		s := &stdImpair{}
-		l.impair = s
-		return s
-	case *stdImpair:
-		return m
-	default:
-		panic(fmt.Sprintf("netem: legacy impairment setter on %s would clobber the Impairment installed via SetImpairment; configure a Stack instead", l))
-	}
-}
-
-// SetJitter adds an independent uniform extra propagation delay in
-// [0, jitter] per packet, modeling per-packet queueing variation in a
-// QoS/DiffServ element. Because each packet's delay is drawn
-// independently, jitter larger than a packet's serialization time causes
-// reordering on the link itself. The RNG must come from sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Jitter directly.
-func (l *Link) SetJitter(jitter time.Duration, rng *rand.Rand) {
-	if jitter < 0 {
-		panic("netem: negative jitter")
-	}
-	if jitter > 0 && rng == nil {
-		panic("netem: SetJitter requires a seeded RNG")
-	}
-	l.std().jitter = Jitter{Max: jitter, RNG: rng}
-}
-
-// SetCorruption makes each delivered packet arrive corrupted with the
-// given probability: the packet consumes its queue slot, serialization
-// time, and propagation delay, then is discarded at the far end instead of
-// handed to the node (a checksum failure). The RNG must come from
-// sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Corruption.
-func (l *Link) SetCorruption(prob float64, rng *rand.Rand) {
-	if prob < 0 || prob > 1 {
-		panic(fmt.Sprintf("netem: corruption probability %v out of [0,1]", prob))
-	}
-	if prob > 0 && rng == nil {
-		panic("netem: SetCorruption requires a seeded RNG")
-	}
-	l.std().corrupt = Corruption{Prob: prob, RNG: rng}
-}
-
-// SetDuplication makes the link deliver an extra copy of each packet with
-// the given probability, modeling link-layer retransmission duplicates.
-// The copy arrives immediately after the original with an independent
-// route state, so a duplicate on a multi-hop path forwards normally. The
-// RNG must come from sim.NewRand.
-//
-// Deprecated: thin wrapper over SetImpairment, kept (byte-identical)
-// for existing call sites; new code should install a *Duplication.
-func (l *Link) SetDuplication(prob float64, rng *rand.Rand) {
-	if prob < 0 || prob > 1 {
-		panic(fmt.Sprintf("netem: duplication probability %v out of [0,1]", prob))
-	}
-	if prob > 0 && rng == nil {
-		panic("netem: SetDuplication requires a seeded RNG")
-	}
-	l.std().dup = Duplication{Prob: prob, RNG: rng}
-}
 
 // SetReorderModel installs the link's packet-reordering process (nil
 // disables) and binds it to this link as its ReleaseSink. Swapping

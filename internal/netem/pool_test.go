@@ -67,7 +67,7 @@ func TestPacketPoolUnderCorruption(t *testing.T) {
 	s := sim.NewScheduler()
 	net := NewNetwork(s)
 	l := net.AddLink("a", "b", 10_000_000, time.Millisecond, 100)
-	l.SetCorruption(1.0, sim.NewRand(7))
+	l.SetImpairment(NewCorruption(1.0, sim.NewRand(7)))
 	net.Node("b").Handle(1, func(*Packet) { t.Fatal("corrupt packet delivered") })
 
 	const n = 20
@@ -93,7 +93,7 @@ func TestPacketPoolUnderDuplication(t *testing.T) {
 	net := NewNetwork(s)
 	l1 := net.AddLink("a", "b", 10_000_000, time.Millisecond, 100)
 	l2 := net.AddLink("b", "c", 10_000_000, time.Millisecond, 100)
-	l1.SetDuplication(1.0, sim.NewRand(9))
+	l1.SetImpairment(NewDuplication(1.0, sim.NewRand(9)))
 	delivered := 0
 	net.Node("c").Handle(1, func(p *Packet) {
 		delivered++

@@ -19,12 +19,12 @@ type Flags struct {
 	Mem string
 }
 
-// Register installs -cpuprofile and -memprofile on the default flag set
-// and returns the struct flag.Parse will fill.
-func Register() *Flags {
+// Register installs -cpuprofile and -memprofile on fs and returns the
+// struct fs.Parse will fill.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.Mem, "memprofile", "", "write a heap profile to this file on exit")
 	return f
 }
 
