@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tcppr/internal/psim"
 	"tcppr/internal/sim"
+	"tcppr/internal/workload"
 )
 
 func TestSuiteNamesCoverBaseline(t *testing.T) {
@@ -56,10 +58,12 @@ func TestEngineObsDetachedZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSchedulerPatternGates holds the two timer-pattern entries at 0
+// TestSchedulerPatternGates holds the timer- and lane-pattern entries at 0
 // allocs/op and at their exact queue cost per op: an RTO pushed out is one
-// in-place re-arm and nothing else; a per-packet loss timer is one extra
-// push and one cancelled pop.
+// in-place re-arm and nothing else; a per-packet hold timer on plain events
+// is one extra push and one cancelled pop; a lane occurrence is a ring
+// append that never touches the heap, whether it fires (lane-fifo) or is
+// cancelled (lane-cancel, whose one push and pop are the ACK event's own).
 func TestSchedulerPatternGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark gate in -short mode")
@@ -71,6 +75,10 @@ func TestSchedulerPatternGates(t *testing.T) {
 			want = sim.Stats{Pushes: 1, Pops: 1, Rearms: 1}
 		case "scheduler/cancel-heavy":
 			want = sim.Stats{Pushes: 2, Pops: 2, CancelledPops: 1}
+		case "scheduler/lane-fifo":
+			want = sim.Stats{LanePushes: 1}
+		case "scheduler/lane-cancel":
+			want = sim.Stats{Pushes: 1, Pops: 1, LanePushes: 1}
 		default:
 			continue
 		}
@@ -84,9 +92,37 @@ func TestSchedulerPatternGates(t *testing.T) {
 		n := uint64(m.Ops)
 		got := *m.Heap
 		if got.Pushes != want.Pushes*n || got.Pops != want.Pops*n ||
-			got.CancelledPops != want.CancelledPops*n || got.Rearms != want.Rearms*n {
+			got.CancelledPops != want.CancelledPops*n || got.Rearms != want.Rearms*n ||
+			got.LanePushes != want.LanePushes*n || got.LaneFallbacks != want.LaneFallbacks*n {
 			t.Errorf("%s over %d ops: %+v, want per op %+v", bn.Name, n, got, want)
 		}
+	}
+}
+
+// TestLanesKeepTheHeapSmall holds what lanes buy on the two
+// whole-simulation entries they were built for, as exact counts of one op:
+// a TCP-PR flow's heap stays at a few dozen entries (798 when every
+// in-flight packet and loss timer had its own) and almost none of its pops
+// are dead timers (7.5 % before); the one-shard city's heap stays under a
+// thousand (6,451 before).
+func TestLanesKeepTheHeapSmall(t *testing.T) {
+	var flow heapCounters
+	sched, segs := steadyStateOp(workload.TCPPR)
+	if segs == 0 {
+		t.Fatal("flow/pr-steady-state made no progress")
+	}
+	flow.add(sched, sim.Stats{})
+	if st := flow.total; st.MaxHeapLen > 128 || st.CancelledPops*100 > st.Pops {
+		t.Errorf("flow/pr-steady-state: max heap length %d (want <= 128), %d of %d pops cancelled (want <= 1%%)",
+			st.MaxHeapLen, st.CancelledPops, st.Pops)
+	}
+
+	var city heapCounters
+	eng, _ := psim.BuildCity(cityRun(1))
+	eng.Run(sim.Time(cityHorizon))
+	city.addShards(eng)
+	if st := city.total; st.MaxHeapLen > 1000 || st.LanePushes == 0 {
+		t.Errorf("psim/city-1shard: max heap length %d (want <= 1000), %d lane pushes", st.MaxHeapLen, st.LanePushes)
 	}
 }
 

@@ -191,17 +191,16 @@ func (c *Config) fill() {
 }
 
 // flight is one entry of the to-be-ack list. seq is carried on the struct
-// so the loss timer's callback argument is the flight itself — the shared
-// checkDropFn trampoline reads it back and performs the same
-// lookup-by-sequence the paper's event loop does, without a per-send
-// closure.
+// so the loss timer's callback argument is the flight itself —
+// checkDropEvent reads it back and performs the same lookup-by-sequence
+// the paper's event loop does, without a per-send closure.
 type flight struct {
 	seq        int64
 	sentAt     sim.Time
 	cwndAtSend float64
 	retx       bool
 	memorized  bool
-	timer      sim.Handle
+	timer      sim.LaneHandle
 }
 
 // Sender is a TCP-PR sender with an infinite backlog (FTP-style).
@@ -224,7 +223,6 @@ type Sender struct {
 
 	memorizeCount int      // size of the memorize list (flagged in-flight packets)
 	cburst        int      // drops charged to the current burst (§3.2)
-	inExtremeRec  bool     // recovering from an extreme-loss reset (until memorize drains)
 	dupTicks      int      // duplicate ACKs since the last cumulative advance (flight accounting)
 	holeStart     sim.Time // when the current hole opened (first duplicate)
 
@@ -232,10 +230,20 @@ type Sender struct {
 
 	pausedUntil sim.Time // extreme-loss send pause
 	resumeTimer *sim.Timer
-	stopped     bool      // set by Stop (connection abort); flush refuses to send
-	checkDropFn func(any) // prebound trampoline for per-packet loss timers
-	lastRetx    sim.Time  // time of the last retransmission (see checkDrop)
-	hasRetx     bool
+	lastRetx    sim.Time // time of the last retransmission (see checkDrop)
+	// The flags share one word: a Sender is allocated per connection and
+	// sits exactly in the 448-byte malloc class.
+	inExtremeRec bool // recovering from an extreme-loss reset (until memorize drains)
+	stopped      bool // set by Stop (connection abort); flush refuses to send
+	hasRetx      bool // lastRetx is set
+
+	// lossTimers carries the per-packet loss timers. The to-be-ack list is
+	// ordered by send time and mxrtt is sender-global, so deadlines almost
+	// never decrease: the whole window costs one scheduler entry, and an
+	// ACKed packet's timer is dropped in the lane instead of being popped
+	// dead at its deadline. The rare earlier deadline (mxrtt shrank, a
+	// re-arm in checkDrop) becomes an ordinary event inside Lane.At.
+	lossTimers sim.Lane
 
 	txSeq int64
 
@@ -271,13 +279,13 @@ func New(env tcp.SenderEnv, cfg Config) *Sender {
 		inflight: make(map[int64]*flight),
 	}
 	s.resumeTimer = sim.NewTimer(env.Sched, s.flush)
-	s.checkDropFn = s.checkDropEvent
+	s.lossTimers.Init(env.Sched, s.checkDropEvent)
 	return s
 }
 
 // checkDropEvent adapts checkDrop to the scheduler's closure-free callback
-// shape; prebound once as checkDropFn so arming a loss timer allocates
-// nothing beyond the flight entry itself.
+// shape; bound once as the loss-timer lane's callback, so arming a loss
+// timer allocates nothing beyond the flight entry itself.
 func (s *Sender) checkDropEvent(arg any) { s.checkDrop(arg.(*flight).seq) }
 
 // newFlight pops a recycled to-be-ack entry, or allocates one when the
@@ -299,7 +307,7 @@ func (s *Sender) newFlight() *flight {
 // fire after recycling would evaluate whatever sequence the entry carries
 // by then.
 func (s *Sender) putFlight(f *flight) {
-	f.timer.Cancel()
+	s.lossTimers.Cancel(f.timer)
 	s.flightFree = append(s.flightFree, f)
 }
 
@@ -456,6 +464,9 @@ func (s *Sender) OnAck(ack tcp.Ack) {
 
 	s.headOfLineCheck()
 	s.flush()
+	if s.Done() {
+		s.lossTimers.Release() // nothing in flight, nothing left to send
+	}
 }
 
 // headOfLineCheck evaluates Table 1's drop condition, time > time(n) +
@@ -552,7 +563,7 @@ func (s *Sender) checkDrop(seq int64) {
 	}
 	deadline := anchor + s.mxrtt
 	if now < deadline {
-		f.timer = s.env.Sched.AtFunc(deadline, s.checkDropFn, f)
+		f.timer = s.lossTimers.At(deadline, f)
 		return
 	}
 	s.onDrop(seq, f, false)
@@ -802,6 +813,7 @@ func (s *Sender) Stop() {
 	}
 	s.memorizeCount = 0
 	s.dupTicks = 0
+	s.lossTimers.Release()
 }
 
 // Quiescent reports whether the sender holds no pending timers (no
@@ -828,7 +840,7 @@ func (s *Sender) send(seq int64, retx bool) {
 	now := s.env.Now()
 	f := s.newFlight()
 	f.seq, f.sentAt, f.cwndAtSend, f.retx = seq, now, s.cwnd, retx
-	f.timer = s.env.Sched.AtFunc(now+s.mxrtt, s.checkDropFn, f)
+	f.timer = s.lossTimers.At(now+s.mxrtt, f)
 	s.inflight[seq] = f
 	if retx {
 		s.lastRetx = now

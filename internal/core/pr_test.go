@@ -596,3 +596,35 @@ func TestPRToBeAckKeysStayInWindowProperty(t *testing.T) {
 		t.Fatalf("scripts exercised %d drops and %d retransmissions; the property was checked vacuously", drops, retx)
 	}
 }
+
+// TestPRLossTimerStorageGoesBackToScheduler: the ring behind a sender's
+// loss-timer lane is the scheduler's, on loan while the sender has packets
+// in flight. A finished transfer and an aborted one both hand it back, so a
+// workload that opens thousands of short transfers cycles a few rings
+// instead of allocating one per sender.
+func TestPRLossTimerStorageGoesBackToScheduler(t *testing.T) {
+	h := newHarness()
+	done := New(h.env(), Config{MaxBurst: -1, MaxData: 6})
+	done.Start()
+	for una := int64(1); !done.Done(); una++ {
+		if h.sched.RingPoolLen() != 0 {
+			t.Fatalf("ring handed back with %d packets in flight", done.InFlight())
+		}
+		done.OnAck(cum(una))
+	}
+	if h.sched.RingPoolLen() != 1 || h.sched.Len() != 0 {
+		t.Fatalf("finished transfer: %d rings in the pool, %d events pending, want 1 and 0",
+			h.sched.RingPoolLen(), h.sched.Len())
+	}
+
+	aborted := New(h.env(), Config{MaxBurst: -1})
+	aborted.Start()
+	aborted.OnAck(cum(1))
+	if h.sched.RingPoolLen() != 0 || aborted.InFlight() != 2 {
+		t.Fatalf("second sender: %d rings in the pool, %d in flight; want the pooled ring taken", h.sched.RingPoolLen(), aborted.InFlight())
+	}
+	aborted.Stop()
+	if h.sched.RingPoolLen() != 1 || h.sched.Len() != 0 || !aborted.Quiescent() {
+		t.Fatalf("stopped sender: %d rings in the pool, %d events pending", h.sched.RingPoolLen(), h.sched.Len())
+	}
+}

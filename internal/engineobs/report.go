@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"tcppr/internal/metrics"
+	"tcppr/internal/sim"
 )
 
 // Run-diff support for cmd/tcpreport: compare two BENCH_sim.json
@@ -122,6 +123,10 @@ type benchEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	SimRate     float64 `json:"sim_seconds_per_wall_second"`
+	// Ops and Heap are the entry's exact event-queue counters (absent from
+	// entries whose scheduler is out of the harness's reach).
+	Ops  float64    `json:"ops"`
+	Heap *sim.Stats `json:"heap"`
 }
 
 // DiffFiles loads two run files — both BENCH_sim.json artifacts or both
@@ -210,6 +215,21 @@ func diffBench(old, new benchDoc, th Thresholds) []DiffRow {
 		if o.SimRate > 0 || n.SimRate > 0 {
 			rows = append(rows, gate(DiffRow{Name: n.Name, Metric: "sim_s/wall_s",
 				Old: o.SimRate, New: n.SimRate, HigherIsBetter: true, ThresholdPct: th.RatePct}))
+		}
+		if o.Heap != nil && n.Heap != nil && o.Ops > 0 && n.Ops > 0 {
+			// Queue counters are exact per op, so the rows are comparable
+			// across machines and iteration counts; informational, ungated.
+			perOp := func(metric string, oc, nc uint64) {
+				rows = append(rows, gate(DiffRow{Name: n.Name, Metric: metric,
+					Old: float64(oc) / o.Ops, New: float64(nc) / n.Ops, ThresholdPct: -1}))
+			}
+			perOp("pushes/op", o.Heap.Pushes, n.Heap.Pushes)
+			perOp("pops/op", o.Heap.Pops, n.Heap.Pops)
+			perOp("dead-pops/op", o.Heap.CancelledPops, n.Heap.CancelledPops)
+			perOp("lane-push/op", o.Heap.LanePushes, n.Heap.LanePushes)
+			perOp("lane-fback/op", o.Heap.LaneFallbacks, n.Heap.LaneFallbacks)
+			rows = append(rows, gate(DiffRow{Name: n.Name, Metric: "max-heap-len",
+				Old: float64(o.Heap.MaxHeapLen), New: float64(n.Heap.MaxHeapLen), ThresholdPct: -1}))
 		}
 	}
 	return rows

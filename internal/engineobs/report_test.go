@@ -74,6 +74,47 @@ func TestDiffFilesBenchGating(t *testing.T) {
 	}
 }
 
+// TestDiffFilesBenchHeapCounters: entries that carry the exact event-queue
+// counters get one ungated row per counter, per op, so two artifacts
+// recorded at different iteration counts still compare; an old artifact
+// without the lane counters reads as zero.
+func TestDiffFilesBenchHeapCounters(t *testing.T) {
+	oldPath := writeTemp(t, "old.json", `{"go_version":"go1.22","results":[
+		{"name":"flow","ns_per_op":100,"allocs_per_op":0,"ops":10,
+		 "heap":{"pushes":2000,"pops":1990,"cancelled_pops":150,"max_heap_len":798}},
+		{"name":"cell","ns_per_op":100,"allocs_per_op":0}
+	]}`)
+	newPath := writeTemp(t, "new.json", `{"go_version":"go1.22","results":[
+		{"name":"flow","ns_per_op":80,"allocs_per_op":0,"ops":20,
+		 "heap":{"pushes":1600,"pops":1600,"cancelled_pops":0,"lane_pushes":4000,"lane_fallbacks":20,"max_heap_len":12}},
+		{"name":"cell","ns_per_op":100,"allocs_per_op":0}
+	]}`)
+	th := DisabledThresholds()
+	th.AllocsPct = 0
+	d, err := DiffFiles(oldPath, newPath, th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]float64{
+		"pushes/op": {200, 80}, "pops/op": {199, 80}, "dead-pops/op": {15, 0},
+		"lane-push/op": {0, 200}, "lane-fback/op": {0, 1}, "max-heap-len": {798, 12},
+	}
+	for _, r := range d.Rows {
+		if w, ok := want[r.Metric]; ok {
+			if r.Name != "flow" || r.Old != w[0] || r.New != w[1] || r.ThresholdPct >= 0 || r.Regressed {
+				t.Errorf("row %+v, want flow %v ungated", r, w)
+			}
+			delete(want, r.Metric)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("heap rows missing: %v\n%+v", want, d.Rows)
+	}
+	if regs := d.Regressions(); len(regs) != 0 {
+		t.Fatalf("informational heap rows regressed: %+v", regs)
+	}
+}
+
 func TestDiffFilesBenchCrossGoVersionUngatesAllocs(t *testing.T) {
 	oldPath := writeTemp(t, "old.json", benchOld)
 	newPath := writeTemp(t, "new.json", `{"go_version":"go1.23","results":[

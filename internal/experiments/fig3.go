@@ -118,7 +118,7 @@ func fig3Scenario(topology string, n int, bwMbps float64) scenario {
 		s := parkingLotScenario(n, 0)
 		factor := bwMbps / 15.0
 		for _, l := range s.bottlenecks {
-			l.Bandwidth = int64(float64(l.Bandwidth) * factor)
+			l.SetBandwidth(int64(float64(l.Bandwidth) * factor))
 		}
 		return s
 	default:

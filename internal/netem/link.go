@@ -101,7 +101,7 @@ type Link struct {
 	// From and To are the link endpoints.
 	From, To *Node
 	// Bandwidth is the serialization rate in bits per second. Mutate only
-	// through SetBandwidth once the simulation is running.
+	// through SetBandwidth: the link remembers serialization times.
 	Bandwidth int64
 	// Delay is the propagation delay. Mutate only through SetDelay once
 	// the simulation is running.
@@ -119,9 +119,22 @@ type Link struct {
 	stats     LinkStats
 	down      bool
 
-	// deliverFn is the prebound deliverEvent method value, created once at
-	// link construction so the per-packet delivery event captures nothing.
+	// deliverFn is the bound deliverEvent method value, created once, at
+	// the link's first packet (see bind), so the per-packet delivery event
+	// captures nothing and an idle link costs its builder no allocation.
 	deliverFn func(any)
+	// A drop-tail link serializes and delivers in FIFO order, so both of
+	// its event streams are sim.Lanes — one scheduler entry each however
+	// many packets are queued or propagating. Arrivals that are out of
+	// order (a jitter draw, a detour, a shortened delay) become ordinary
+	// events inside Lane.At.
+	dequeues   sim.Lane // serialization completions: linkDequeued
+	deliveries sim.Lane // arrivals at the far end: deliverFn
+
+	// txSize → txDur is the last TxTime computed (0 → 0 when none);
+	// SetBandwidth resets it.
+	txSize int
+	txDur  time.Duration
 
 	loss    LossModel
 	impair  Impairment
@@ -183,9 +196,6 @@ func (l *Link) SetReorderModel(m ReorderModel) {
 	}
 	l.reorder = m
 	if m != nil {
-		if l.deliverFn == nil { // hand-built link (tests); AddLink pre-binds
-			l.deliverFn = l.deliverEvent
-		}
 		m.Bind(l)
 	}
 }
@@ -265,6 +275,7 @@ func (l *Link) SetBandwidth(bps int64) {
 		panic(fmt.Sprintf("netem: link %s bandwidth set to non-positive %d", l, bps))
 	}
 	l.Bandwidth = bps
+	l.txSize, l.txDur = 0, 0
 }
 
 // SetDelay changes the propagation delay mid-run. In-flight packets keep
@@ -295,8 +306,13 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) QueueLen() int { return l.queueLen }
 
 // TxTime returns the serialization time for a packet of the given size.
+// A link carries one or two packet sizes, so the last answer is kept.
 func (l *Link) TxTime(bytes int) time.Duration {
-	return time.Duration(float64(bytes*8) / float64(l.Bandwidth) * float64(time.Second))
+	if bytes != l.txSize {
+		l.txSize = bytes
+		l.txDur = time.Duration(float64(bytes*8) / float64(l.Bandwidth) * float64(time.Second))
+	}
+	return l.txDur
 }
 
 // Enqueue offers a packet to the link's output queue. It returns false if
@@ -348,21 +364,21 @@ func (l *Link) Enqueue(p *Packet) bool {
 	finish := start + l.TxTime(p.Size)
 	l.busyUntil = finish
 
-	if l.deliverFn == nil { // hand-built link (tests); AddLink pre-binds
-		l.deliverFn = l.deliverEvent
-	}
 	// The queue slot frees when serialization completes; the packet
 	// arrives one propagation delay (plus any jitter draw) later. Both
-	// events go through closure-free AtFunc trampolines so steady-state
-	// forwarding schedules without allocating. With an observer attached
-	// the dequeue event carries the packet instead of the link, so the
-	// serialization-complete span event can name it; the event count and
-	// ordering are identical either way.
-	if l.obs != nil {
-		l.sched.AtFunc(finish, linkDequeuedTraced, p)
-	} else {
-		l.sched.AtFunc(finish, linkDequeued, l)
+	// events ride the link's lanes with closure-free callbacks, so
+	// steady-state forwarding schedules without allocating. With an
+	// observer attached the dequeue event carries the packet instead of the
+	// link, so the serialization-complete span event can name it; the event
+	// count and ordering are identical either way.
+	if l.deliverFn == nil {
+		l.bind()
 	}
+	var dequeued any = l
+	if l.obs != nil {
+		dequeued = p
+	}
+	l.dequeues.At(finish, dequeued)
 	// Impairment draws happen at enqueue time, in arrival order, so the
 	// RNG streams are consumed deterministically regardless of how the
 	// delivery events interleave with other links' traffic. The corruption
@@ -393,10 +409,10 @@ func (l *Link) Enqueue(p *Packet) bool {
 				l.stats.ReorderDelayed++
 			}
 			arrive = rel
-			l.sched.AtFunc(arrive, l.deliverFn, p)
+			l.deliveries.At(arrive, p)
 		}
 	} else {
-		l.sched.AtFunc(arrive, l.deliverFn, p)
+		l.deliveries.At(arrive, p)
 	}
 	if eff.Duplicate {
 		// The duplicate bypasses the reorder model: a link-layer repeat
@@ -416,34 +432,41 @@ func (l *Link) Enqueue(p *Packet) bool {
 		if l.obs != nil {
 			l.obs.PacketDuplicated(l, p, dup, finish, arrive)
 		}
-		l.sched.AtFunc(arrive, l.deliverFn, dup)
+		l.deliveries.At(arrive, dup)
 	}
 	return true
 }
 
-// linkDequeued is the shared trampoline for serialization-complete events:
-// the queue slot frees, nothing else happens.
-func linkDequeued(arg any) {
-	l := arg.(*Link)
-	l.queueLen--
-	l.stats.Dequeued++
+// bind readies the link's event callbacks and lanes at its first packet.
+func (l *Link) bind() {
+	l.deliverFn = l.deliverEvent
+	l.dequeues.Init(l.sched, linkDequeued)
+	l.deliveries.Init(l.sched, l.deliverFn)
 }
 
-// linkDequeuedTraced is the observer-attached variant: the event carries
-// the packet (whose route still points at the serializing link) so the
-// observer can attribute the freed slot.
-func linkDequeuedTraced(arg any) {
-	p := arg.(*Packet)
-	l := p.NextLink()
+// linkDequeued is the callback of every link's dequeue lane: serialization
+// completed, the queue slot frees. The argument is the link, or — for a
+// packet enqueued while an observer was attached — the packet, whose route
+// still points at the serializing link, so the observer can attribute the
+// freed slot. An observer attached or detached mid-run therefore hears of
+// exactly the packets enqueued while one was attached and dequeued while
+// one still is.
+func linkDequeued(arg any) {
+	var p *Packet
+	l, untraced := arg.(*Link)
+	if !untraced {
+		p = arg.(*Packet)
+		l = p.NextLink()
+	}
 	l.queueLen--
 	l.stats.Dequeued++
-	if l.obs != nil {
+	if p != nil && l.obs != nil {
 		l.obs.PacketDequeued(l, p)
 	}
 }
 
 // deliverEvent adapts deliver to the scheduler's closure-free callback
-// shape; it is prebound once per link as deliverFn.
+// shape; it is bound once per link as deliverFn.
 func (l *Link) deliverEvent(arg any) { l.deliver(arg.(*Packet)) }
 
 // deliver completes one packet's traversal: corrupted packets die at the

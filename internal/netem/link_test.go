@@ -261,3 +261,97 @@ func TestBadLinkParamsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// dequeueObs records which packets an observer was told finished
+// serializing; everything else is ignored.
+type dequeueObs struct {
+	recordObs
+	ids []uint64
+}
+
+func (o *dequeueObs) PacketDequeued(l *Link, p *Packet) { o.ids = append(o.ids, p.ID) }
+
+// TestObserverAttachedAndDetachedMidRun pins what one dequeue callback
+// must keep true when SetObserver is called while packets are
+// serializing: every packet frees its queue slot exactly once whichever
+// way its event was armed, and PacketDequeued is reported for exactly the
+// packets enqueued while an observer was attached and dequeued while one
+// still is.
+func TestObserverAttachedAndDetachedMidRun(t *testing.T) {
+	s, net := newTestNet()
+	// 1000-byte packets at 8 Mbps serialize in 1 ms each.
+	l := net.AddLink("a", "b", mbps(8), 10*time.Millisecond, 100)
+	net.Node("b").Handle(1, func(*Packet) {})
+	send := func(n int) (ids []uint64) {
+		for i := 0; i < n; i++ {
+			p := net.NewPacket()
+			p.Flow, p.Size, p.Path = 1, 1000, []*Link{l}
+			net.Send(p)
+			ids = append(ids, p.ID)
+		}
+		return ids
+	}
+	obs := &dequeueObs{}
+	var attached []uint64
+
+	send(3) // serialize at 1, 2, 3 ms, armed with nobody listening
+	s.At(1500*time.Microsecond, func() {
+		if l.QueueLen() != 2 || l.Stats().Dequeued != 1 {
+			t.Errorf("at 1.5ms: queue %d, dequeued %d, want 2 and 1", l.QueueLen(), l.Stats().Dequeued)
+		}
+		net.SetObserver(obs)
+		attached = send(2) // serialize at 4 and 5 ms
+	})
+	s.At(4500*time.Microsecond, func() {
+		if l.QueueLen() != 1 || l.Stats().Dequeued != 4 {
+			t.Errorf("at 4.5ms: queue %d, dequeued %d, want 1 and 4", l.QueueLen(), l.Stats().Dequeued)
+		}
+		net.SetObserver(nil)
+		send(1) // serializes at 6 ms
+	})
+	s.Run()
+
+	if st := l.Stats(); l.QueueLen() != 0 || st.Dequeued != 6 || st.Delivered != 6 {
+		t.Fatalf("queue %d, dequeued %d, delivered %d, want 0, 6, 6", l.QueueLen(), st.Dequeued, st.Delivered)
+	}
+	// Packets 1-3 were enqueued before the attach; the second packet sent
+	// under the observer finished serializing after the detach.
+	if len(obs.ids) != 1 || obs.ids[0] != attached[0] {
+		t.Fatalf("PacketDequeued reported for %v, want [%d]", obs.ids, attached[0])
+	}
+	if obs.enq != 2 {
+		t.Fatalf("PacketEnqueued reported %d times, want 2", obs.enq)
+	}
+}
+
+// TestTxTimeMatchesFormula: the remembered serialization time is the same
+// float expression as computing it afresh, for every size, in any order of
+// sizes, before and after a bandwidth change.
+func TestTxTimeMatchesFormula(t *testing.T) {
+	_, net := newTestNet()
+	l := net.AddLink("a", "b", mbps(15), time.Millisecond, 10)
+	check := func() {
+		t.Helper()
+		for size := 40; size <= 1500; size++ {
+			want := time.Duration(float64(size*8) / float64(l.Bandwidth) * float64(time.Second))
+			// Twice each, and the small size in between, so a value is read
+			// both fresh and remembered.
+			if a, b := l.TxTime(size), l.TxTime(size); a != want || b != want {
+				t.Fatalf("TxTime(%d) at %d bps = %v then %v, want %v", size, l.Bandwidth, a, b, want)
+			}
+			if got := l.TxTime(40); got != time.Duration(float64(40*8)/float64(l.Bandwidth)*float64(time.Second)) {
+				t.Fatalf("TxTime(40) at %d bps = %v after size %d", l.Bandwidth, got, size)
+			}
+		}
+		if got := l.TxTime(0); got != 0 {
+			t.Fatalf("TxTime(0) = %v", got)
+		}
+	}
+	check()
+	l.TxTime(1000)
+	l.SetBandwidth(mbps(1.544))
+	check()
+	l.TxTime(0)
+	l.SetBandwidth(mbps(622))
+	check()
+}

@@ -128,7 +128,6 @@ func (n *Network) AddLink(from, to string, bandwidth int64, delay time.Duration,
 		net:       n,
 		obs:       n.obs,
 	}
-	l.deliverFn = l.deliverEvent
 	n.links = append(n.links, l)
 	n.linkIdx[linkKey{from, to}] = l
 	return l

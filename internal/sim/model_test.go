@@ -7,11 +7,13 @@ import (
 )
 
 // The reference model of the event queue: a slice kept in scheduling
-// order and stable-sorted by time on every step, where cancel is delete
-// and a timer reset is cancel plus append. It is what the scheduler's
-// documentation promises and nothing more, so any divergence of the real
-// queue (4-ary heap, lazy cancellation, in-place re-arm with stale keys,
-// pooled events behind generation-checked handles) is a bug in the queue.
+// order and stable-sorted by time on every step, where cancel is delete,
+// a timer reset is cancel plus append, and a lane is nothing at all —
+// Lane.At is one more append. It is what the scheduler's documentation
+// promises and nothing more, so any divergence of the real queue (4-ary
+// heap, lazy cancellation, in-place re-arm with stale keys, pooled events
+// behind generation-checked handles, lanes behind one anchor each) is a
+// bug in the queue.
 
 type modelEvent struct {
 	at         Time
@@ -81,22 +83,26 @@ func (m *model) next() int {
 }
 
 const (
-	fuzzSlots  = 6 // handle slots
+	fuzzSlots  = 16 // handle slots
 	fuzzTimers = 3
+	fuzzLanes  = 2
 	timerID0   = 1 << 30 // timers fire as timerID0+k
 )
 
 // Opcodes of the fuzz program; each op is two bytes, {slot<<4 | opcode, arg}.
 const (
-	opAt        = iota // At(now+arg&15); arg>>4: 1..7 child after that-1, 8..15 cancel slot
-	opAtFunc           // AtFunc(now+arg&15)
-	opCancel           // Handle.Cancel on a slot (possibly stale or zero)
-	opReset            // Timer.Reset(now+arg&15)
-	opResetNear        // Timer.Reset(last deadline + (arg&7) - 3), clamped to now
-	opStop             // Timer.Stop
-	opSelfReset        // the timer's next firing calls Reset(now+arg&15) from its callback
-	opStep             // Step
-	opRunUntil         // RunUntil(now+arg&31)
+	opAt          = iota // At(now+arg&15); arg>>4: 1..7 child after that-1, 8..15 cancel slot
+	opAtFunc             // AtFunc(now+arg&15)
+	opCancel             // Handle.Cancel on a slot (possibly stale or zero)
+	opReset              // Timer.Reset(now+arg&15)
+	opResetNear          // Timer.Reset(last deadline + (arg&7) - 3), clamped to now
+	opStop               // Timer.Stop
+	opSelfReset          // the timer's next firing calls Reset(now+arg&15) from its callback
+	opStep               // Step
+	opRunUntil           // RunUntil(now+arg&31)
+	opLaneAt             // Lane.At(max(now, lane's last time)+arg&3): in order; arg>>4 as for opAt, the child on the same lane
+	opLaneAtAny          // Lane.At(now+arg&15): in order or not; arg>>4 likewise
+	opLaneRelease        // Lane.Release
 	opCount
 )
 
@@ -110,10 +116,31 @@ func prog(ops ...[]byte) []byte {
 	return out
 }
 
+// fuzzSlot holds the handle of the occurrence most recently scheduled
+// through it: a Handle, or a LaneHandle and the lane that issued it.
 type fuzzSlot struct {
-	h  Handle
-	id int
+	h    Handle
+	lh   LaneHandle
+	lane *Lane
+	id   int
 }
+
+func (sl fuzzSlot) cancel() bool {
+	if sl.lane != nil {
+		return sl.lane.Cancel(sl.lh)
+	}
+	return sl.h.Cancel()
+}
+
+func (sl fuzzSlot) pending() bool {
+	if sl.lane != nil {
+		return sl.lane.Pending(sl.lh)
+	}
+	return sl.h.Pending()
+}
+
+// laneArg is the argument of one lane occurrence.
+type laneArg struct{ id, lane, child, cancel int }
 
 // harness drives one Scheduler and one model through the same program.
 type harness struct {
@@ -127,11 +154,21 @@ type harness struct {
 	self   [fuzzTimers]int  // real side: pending self-reset delay, -1 none
 	mself  [fuzzTimers]int  // model side of the same
 	nextID int
+
+	lanes    [fuzzLanes]Lane
+	laneLast [fuzzLanes]Time // largest time asked of each lane
+	laneAts  uint64          // Lane.At calls made
+	// plain replaces every Lane.At by AtFunc with the lane's callback: the
+	// program a lane must be indistinguishable from.
+	plain bool
 }
 
-func newHarness(t *testing.T) *harness {
-	h := &harness{t: t, s: NewScheduler(), nextID: 1}
+func newHarness(t *testing.T, plain bool) *harness {
+	h := &harness{t: t, s: NewScheduler(), nextID: 1, plain: plain}
 	h.s.SetDebugPool(true)
+	for k := range h.lanes {
+		h.lanes[k].Init(h.s, h.laneFire)
+	}
 	for k := range h.timers {
 		k := k
 		h.self[k], h.mself[k] = -1, -1
@@ -144,6 +181,30 @@ func newHarness(t *testing.T) *harness {
 		})
 	}
 	return h
+}
+
+// laneAt schedules one occurrence on lane k, or its plain equivalent.
+func (h *harness) laneAt(k int, at Time, a *laneArg) fuzzSlot {
+	if at > h.laneLast[k] {
+		h.laneLast[k] = at
+	}
+	if h.plain {
+		return fuzzSlot{id: a.id, h: h.s.AtFunc(at, h.laneFire, a)}
+	}
+	h.laneAts++
+	return fuzzSlot{id: a.id, lane: &h.lanes[k], lh: h.lanes[k].At(at, a)}
+}
+
+// laneFire is every lane's callback.
+func (h *harness) laneFire(arg any) {
+	a := arg.(*laneArg)
+	h.fired = append(h.fired, a.id)
+	if a.child >= 0 {
+		h.laneAt(a.lane, h.s.Now()+Time(a.child), &laneArg{id: -a.id, lane: a.lane, child: -1, cancel: -1})
+	}
+	if a.cancel >= 0 {
+		h.slots[a.cancel].cancel()
+	}
 }
 
 func (h *harness) modelReset(k int, at Time) {
@@ -178,25 +239,37 @@ func (h *harness) exec(code, slot, arg int) {
 	s, m := h.s, &h.m
 	k := slot % fuzzTimers
 	slot %= fuzzSlots
+	child, cancel := -1, -1
+	switch v := arg >> 4; {
+	case v >= 8:
+		cancel = (v - 8) % fuzzSlots
+	case v >= 1:
+		child = v - 1
+	}
 	switch code {
+	case opLaneAt, opLaneAtAny:
+		ln := slot % fuzzLanes
+		id := h.nextID
+		h.nextID++
+		at := s.Now() + Time(arg&15)
+		if code == opLaneAt {
+			at = max(s.Now(), h.laneLast[ln]) + Time(arg&3)
+		}
+		h.slots[slot] = h.laneAt(ln, at, &laneArg{id: id, lane: ln, child: child, cancel: cancel})
+		m.schedule(modelEvent{at: at, id: id, childDelay: child, cancelSlot: cancel})
+	case opLaneRelease:
+		h.lanes[slot%fuzzLanes].Release()
 	case opAt:
 		id := h.nextID
 		h.nextID++
 		at := s.Now() + Time(arg&15)
-		child, cancel := -1, -1
-		switch v := arg >> 4; {
-		case v >= 8:
-			cancel = (v - 8) % fuzzSlots
-		case v >= 1:
-			child = v - 1
-		}
 		h.slots[slot] = fuzzSlot{id: id, h: s.At(at, func() {
 			h.fired = append(h.fired, id)
 			if child >= 0 {
 				s.At(s.Now()+Time(child), func() { h.fired = append(h.fired, -id) })
 			}
 			if cancel >= 0 {
-				h.slots[cancel].h.Cancel()
+				h.slots[cancel].cancel()
 			}
 		})}
 		m.schedule(modelEvent{at: at, id: id, childDelay: child, cancelSlot: cancel})
@@ -209,7 +282,7 @@ func (h *harness) exec(code, slot, arg int) {
 		}, &id)}
 		m.schedule(modelEvent{at: at, id: id, childDelay: -1, cancelSlot: -1})
 	case opCancel:
-		got, want := h.slots[slot].h.Cancel(), m.cancel(h.slots[slot].id)
+		got, want := h.slots[slot].cancel(), m.cancel(h.slots[slot].id)
 		if got != want {
 			h.t.Fatalf("Cancel(slot %d) = %v, model %v", slot, got, want)
 		}
@@ -272,10 +345,10 @@ func (h *harness) check(step int) {
 			step, s.Now(), s.Processed(), s.Len(), m.now, m.processed, len(m.q))
 	}
 	for i, sl := range h.slots {
-		if got, want := sl.h.Pending(), m.find(sl.id) >= 0; got != want {
+		if got, want := sl.pending(), m.find(sl.id) >= 0; got != want {
 			t.Fatalf("op %d: slot %d Pending() = %v, model %v", step, i, got, want)
 		}
-		if got, want := sl.h.At(), m.at(sl.id); got != want {
+		if got, want := sl.h.At(), m.at(sl.id); sl.lane == nil && got != want {
 			t.Fatalf("op %d: slot %d At() = %v, model %v", step, i, got, want)
 		}
 	}
@@ -292,6 +365,7 @@ func (h *harness) check(step int) {
 	}
 
 	live := 0
+	anchors := map[*Lane]int{} // queued, not cancelled anchors per lane
 	for i, en := range s.heap {
 		e := en.e
 		if i > 0 && en.less(s.heap[(i-1)/heapArity]) {
@@ -304,43 +378,96 @@ func (h *harness) check(step int) {
 			t.Fatalf("op %d: heap[%d] key (%v, %d) is after its event's (%v, %d)",
 				step, i, en.at, en.seq, e.at, e.seq)
 		}
-		if !e.canceled {
+		switch {
+		case e.canceled:
+		case e.lane != nil:
+			anchors[e.lane]++
+		default:
 			live++
 		}
 	}
+	for k := range h.lanes {
+		live += h.auditLane(step, k, anchors[&h.lanes[k]])
+	}
 	if live != s.Len() {
-		t.Fatalf("op %d: Len() = %d, heap holds %d live events", step, s.Len(), live)
+		t.Fatalf("op %d: Len() = %d, heap and lanes hold %d live events", step, s.Len(), live)
 	}
 	st := s.Stats()
-	if st.Pops-st.CancelledPops != s.Processed() || st.Pushes-st.Pops != uint64(len(s.heap)) ||
-		st.MaxHeapLen < len(s.heap) {
-		t.Fatalf("op %d: inconsistent stats %+v (processed %d, heap %d)", step, st, s.Processed(), len(s.heap))
+	if st.Pushes-st.Pops != uint64(len(s.heap)) || st.MaxHeapLen < len(s.heap) ||
+		st.LanePushes+st.LaneFallbacks != h.laneAts {
+		t.Fatalf("op %d: inconsistent stats %+v (heap %d, %d Lane.At calls)", step, st, len(s.heap), h.laneAts)
 	}
 }
 
+// auditLane checks lane k's invariants — the ring sorted by (time,
+// sequence), a waiting head, exactly one live anchor carrying the head's
+// key while anything waits and none otherwise — and returns how many
+// occurrences wait on it.
+func (h *harness) auditLane(step, k, anchors int) int {
+	t, l := h.t, &h.lanes[k]
+	t.Helper()
+	if len(l.ring)&(len(l.ring)-1) != 0 || l.n > len(l.ring) {
+		t.Fatalf("op %d: lane %d holds %d items in a ring of %d", step, k, l.n, len(l.ring))
+	}
+	if l.n == 0 {
+		if anchors != 0 {
+			t.Fatalf("op %d: empty lane %d has %d live anchors", step, k, anchors)
+		}
+		return 0
+	}
+	head := l.ring[l.head]
+	a := l.anchor
+	if anchors != 1 || a == nil || !a.queued || a.canceled || a.lane != l ||
+		a.at != head.at || a.seq != head.seq || head.seq == laneDead {
+		t.Fatalf("op %d: lane %d head (%v, %d), %d live anchors, anchor %+v", step, k, head.at, head.seq, anchors, a)
+	}
+	waiting := 0
+	prev := laneItem{}
+	for i := 0; i < l.n; i++ {
+		it := l.ring[(l.head+i)&(len(l.ring)-1)]
+		if it.at < prev.at || (it.seq != laneDead && it.seq <= prev.seq && i > 0) {
+			t.Fatalf("op %d: lane %d item %d (%v, %d) is before (%v, %d)", step, k, i, it.at, it.seq, prev.at, prev.seq)
+		}
+		prev.at = it.at
+		if it.seq != laneDead {
+			prev.seq = it.seq
+			waiting++
+		}
+	}
+	return waiting
+}
+
+// runProgram runs one program twice, through lanes and with every Lane.At
+// replaced by AtFunc, each against the model after every operation; the
+// two runs therefore agree with each other on fire order, Now, Processed,
+// Len and every handle's answers at every step.
 func runProgram(t *testing.T, program []byte) {
 	if len(program) > 4096 {
 		program = program[:4096]
 	}
-	h := newHarness(t)
-	for i := 0; i+1 < len(program); i += 2 {
-		h.exec(int(program[i]&15)%opCount, int(program[i]>>4), int(program[i+1]))
-		h.check(i / 2)
-	}
-	// Drain: everything still queued must come out in model order too.
-	h.s.Run()
-	for len(h.m.q) > 0 {
-		h.modelStep()
-	}
-	h.check(len(program) / 2)
-	if len(h.s.heap) != 0 {
-		t.Fatalf("heap holds %d entries after Run", len(h.s.heap))
+	for _, plain := range []bool{false, true} {
+		h := newHarness(t, plain)
+		for i := 0; i+1 < len(program); i += 2 {
+			h.exec(int(program[i]&15)%opCount, int(program[i]>>4), int(program[i+1]))
+			h.check(i / 2)
+		}
+		// Drain: everything still queued must come out in model order too.
+		h.s.Run()
+		for len(h.m.q) > 0 {
+			h.modelStep()
+		}
+		h.check(len(program) / 2)
+		if len(h.s.heap) != 0 {
+			t.Fatalf("heap holds %d entries after Run", len(h.s.heap))
+		}
 	}
 }
 
 // FuzzSchedulerOrder runs random programs of At / AtFunc / Cancel /
 // Timer.Reset (later, earlier, equal, from inside its own callback) /
-// Timer.Stop / Step / RunUntil against the reference model and requires
+// Timer.Stop / Lane.At (in order, out of order, from inside the lane's own
+// callback) / Cancel of lane occurrences (head, middle, tail) /
+// Lane.Release / Step / RunUntil against the reference model and requires
 // identical fire order and identical answers from every accessor after
 // every operation, with pool-ownership checking armed.
 func FuzzSchedulerOrder(f *testing.F) {
@@ -368,6 +495,31 @@ func FuzzSchedulerOrder(f *testing.F) {
 	// cancels another slot and schedules a child.
 	f.Add(prog(op(opSelfReset, 2, 4), op(opReset, 2, 1), op(opAt, 3, 1|9<<4), op(opAt, 1, 2|3<<4),
 		op(opRunUntil, 0, 3), op(opSelfReset, 2, 0), op(opRunUntil, 0, 31)))
+
+	// The dead-anchor trap: a lane's first window is armed far out and
+	// cancelled whole, leaving the anchor queued and dead at the far key;
+	// the next occurrence is near and needs a fresh anchor, not a fallback.
+	f.Add(prog(op(opLaneAtAny, 0, 15), op(opLaneAt, 2, 0), op(opLaneAt, 4, 1), op(opLaneAt, 6, 0),
+		op(opLaneAt, 8, 0), op(opLaneAt, 10, 1), op(opLaneAt, 12, 0), op(opLaneAt, 14, 0),
+		op(opCancel, 0, 0), op(opCancel, 2, 0), op(opCancel, 4, 0), op(opCancel, 6, 0),
+		op(opCancel, 8, 0), op(opCancel, 10, 0), op(opCancel, 12, 0), op(opCancel, 14, 0),
+		op(opLaneAtAny, 0, 1), op(opLaneAtAny, 2, 2), op(opRunUntil, 0, 31)))
+	// Cancel of head, middle and tail; the head's successor is then armed
+	// out of order (before the cancelled tail, which still holds the ring's
+	// last time) and fires between its neighbours all the same.
+	f.Add(prog(op(opLaneAtAny, 0, 4), op(opLaneAt, 2, 1), op(opLaneAt, 4, 1), op(opLaneAt, 6, 1),
+		op(opLaneAt, 8, 1), op(opCancel, 4, 0), op(opCancel, 0, 0), op(opCancel, 8, 0),
+		op(opLaneAtAny, 10, 6), op(opLaneRelease, 0, 0), op(opRunUntil, 0, 31)))
+	// A lane, a timer and plain events sharing one timestamp fire in
+	// scheduling order; the lane's callback appends to its own lane at the
+	// same instant and cancels a slot.
+	f.Add(prog(op(opLaneAtAny, 0, 5|1<<4), op(opReset, 0, 5), op(opAt, 1, 5), op(opLaneAtAny, 2, 5|9<<4),
+		op(opReset, 1, 5), op(opLaneAtAny, 1, 5), op(opAtFunc, 3, 5), op(opRunUntil, 0, 5),
+		op(opLaneRelease, 0, 0), op(opLaneAt, 0, 2), op(opRunUntil, 0, 31)))
+	// The anchor is revived in place after a cancel-drain (next occurrence
+	// not before the dead key), and a drained lane hands its ring back.
+	f.Add(prog(op(opLaneAtAny, 0, 3), op(opCancel, 0, 0), op(opLaneRelease, 0, 0), op(opLaneAtAny, 0, 7),
+		op(opAt, 1, 5), op(opStep, 0, 0), op(opStep, 0, 0), op(opCancel, 0, 0), op(opStep, 0, 0)))
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 32; i++ {

@@ -25,6 +25,10 @@
 // entry found stale at the top is sunk to its true position before
 // anything fires, so execution order is exactly (at, seq) order (see
 // PERFORMANCE.md, "Event queue").
+//
+// Event streams that are already sorted — a link's FIFO deliveries, a
+// TCP-PR sender's loss timers — do not sit in the heap at all: a Lane keeps
+// them in a ring and the heap holds one entry for the lane's head (lane.go).
 package sim
 
 import (
@@ -55,6 +59,7 @@ type Event struct {
 	fn       func()
 	fnArg    func(any)
 	arg      any
+	lane     *Lane // non-nil on a lane's anchor: firing runs the lane's head
 	canceled bool
 	pooled   bool // on the free list (debug-mode double-release check)
 	queued   bool // a heap entry points at this event
@@ -146,37 +151,47 @@ type Scheduler struct {
 	seq       uint64
 	heap      []entry // 4-ary min-heap; heap[i].key <= heap[i].e.key
 	free      []*Event
-	live      int // queued events that are not cancelled
+	rings     [][]laneItem // lane storage handed back by Lane.Release or outgrown
+	live      int          // waiting occurrences, in the heap or on a lane, that are not cancelled
 	processed uint64
 	debugPool bool
 
+	pushes        uint64
+	pops          uint64
 	cancelledPops uint64
 	rearms        uint64
 	staleSinks    uint64
+	lanePushes    uint64
+	laneFallbacks uint64
 	maxHeapLen    int
 }
 
 // Stats are the scheduler's deterministic queue counters: for a given
 // program of calls they are the same on every machine, so cost can be
-// gated on them exactly where wall time is noise.
+// gated on them exactly where wall time is noise. Pushes, Pops and
+// CancelledPops count heap entries; an occurrence that waited on a lane
+// behind its anchor never was one and is counted by LanePushes instead.
 type Stats struct {
 	Pushes        uint64 `json:"pushes"`         // entries pushed onto the heap
 	Pops          uint64 `json:"pops"`           // entries removed: fired plus cancelled
 	CancelledPops uint64 `json:"cancelled_pops"` // entries removed because their event was cancelled
 	Rearms        uint64 `json:"rearms"`         // Timer.Reset calls served in place, without a push
-	StaleSinks    uint64 `json:"stale_sinks"`    // re-armed entries sunk to their new key before firing
+	StaleSinks    uint64 `json:"stale_sinks"`    // re-keyed entries sunk to their new key before firing
+	LanePushes    uint64 `json:"lane_pushes"`    // Lane.At calls appended to the lane's ring
+	LaneFallbacks uint64 `json:"lane_fallbacks"` // Lane.At calls out of order for the lane: plain heap events
 	MaxHeapLen    int    `json:"max_heap_len"`   // largest heap length, cancelled entries included
 }
 
 // Stats returns the queue counters accumulated since NewScheduler.
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		// Every push and every in-place re-arm draws one sequence number.
-		Pushes:        s.seq - s.rearms,
-		Pops:          s.processed + s.cancelledPops,
+		Pushes:        s.pushes,
+		Pops:          s.pops,
 		CancelledPops: s.cancelledPops,
 		Rearms:        s.rearms,
 		StaleSinks:    s.staleSinks,
+		LanePushes:    s.lanePushes,
+		LaneFallbacks: s.laneFallbacks,
 		MaxHeapLen:    s.maxHeapLen,
 	}
 }
@@ -197,8 +212,8 @@ func (s *Scheduler) SetDebugPool(on bool) { s.debugPool = on }
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending (non-cancelled) events. Cancelled
-// events still in the heap are not counted.
+// Len returns the number of pending (non-cancelled) events, whether they
+// wait in the heap or on a lane. Cancelled events are not counted.
 func (s *Scheduler) Len() int { return s.live }
 
 // Processed returns the number of events executed so far. It is useful for
@@ -208,6 +223,11 @@ func (s *Scheduler) Processed() uint64 { return s.processed }
 // FreeListLen returns the current size of the event free list (recycled
 // events awaiting reuse). It exists for pool tests and capacity planning.
 func (s *Scheduler) FreeListLen() int { return len(s.free) }
+
+// RingPoolLen returns how many lane rings sit in the scheduler's pool,
+// handed back by Lane.Release or outgrown. Like FreeListLen it exists for
+// pool tests and capacity planning.
+func (s *Scheduler) RingPoolLen() int { return len(s.rings) }
 
 // NextAt reports the timestamp of the next pending event and whether one
 // exists. It exists for diagnostics — a stall watchdog distinguishing "the
@@ -230,11 +250,10 @@ func (s *Scheduler) checkFuture(t Time) {
 	}
 }
 
-// schedule takes an event off the free list (or allocates one), fills it,
-// and pushes it onto the heap. Bumping the generation at allocation time
-// invalidates every handle to the event's previous occupancy.
-func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle {
-	s.checkFuture(t)
+// alloc takes an event off the free list (or allocates one) and marks it
+// queued. Bumping the generation here invalidates every handle to the
+// event's previous occupancy.
+func (s *Scheduler) alloc() *Event {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -245,13 +264,20 @@ func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle
 	}
 	e.gen++
 	e.pooled = false
+	e.canceled = false
+	e.queued = true
+	return e
+}
+
+// schedule fills a pooled event and pushes it onto the heap.
+func (s *Scheduler) schedule(t Time, fn func(), fnArg func(any), arg any) Handle {
+	s.checkFuture(t)
+	e := s.alloc()
 	e.at = t
 	e.seq = s.seq
 	e.fn = fn
 	e.fnArg = fnArg
 	e.arg = arg
-	e.canceled = false
-	e.queued = true
 	s.seq++
 	s.live++
 	s.push(entry{at: t, seq: e.seq, e: e})
@@ -292,6 +318,7 @@ func (s *Scheduler) release(e *Event) {
 	e.fn = nil
 	e.fnArg = nil
 	e.arg = nil
+	e.lane = nil
 	s.free = append(s.free, e)
 }
 
@@ -342,6 +369,10 @@ func (s *Scheduler) Step() bool {
 
 // fire executes e, which must be the event peek just returned.
 func (s *Scheduler) fire(e *Event) {
+	if e.lane != nil {
+		s.fireLane(e)
+		return
+	}
 	s.popTop()
 	s.live--
 	s.now = e.at
@@ -435,6 +466,7 @@ func (s *Scheduler) peek() *Event {
 // push adds x to the heap. x carries the largest sequence number drawn so
 // far, so it sorts before its parent only on a strictly smaller time.
 func (s *Scheduler) push(x entry) {
+	s.pushes++
 	s.heap = append(s.heap, x)
 	h := s.heap
 	if len(h) > s.maxHeapLen {
@@ -454,6 +486,7 @@ func (s *Scheduler) push(x entry) {
 
 // popTop removes the root entry.
 func (s *Scheduler) popTop() {
+	s.pops++
 	h := s.heap
 	n := len(h) - 1
 	h[0].e.queued = false
