@@ -467,6 +467,7 @@ func (sc *scenario) runMultipathOne(ses *runobs.Session, proto string) error {
 	sched.RunUntil(sc.warm + sc.dur)
 	mbps := stats.Mbps(stats.Throughput(wf.WindowBytes(), sc.dur))
 	fmt.Fprintf(sc.out, "%-10s %7.2f Mbps (retx %d of %d sent)\n", proto, mbps, f.DataRetx(), f.DataSent())
+	sc.reportScheduler(sched.Processed(), sched.Stats())
 	if err := scope.Finish(runobs.Fields{Experiment: "tcpsim", Topology: "multipath", Seed: sc.seed,
 		Params: map[string]float64{"eps": sc.eps, "delay_ms": float64(sc.delay.Milliseconds())}}); err != nil {
 		return err
@@ -490,9 +491,9 @@ func (sc *scenario) runCity() error {
 		fmt.Fprintf(sc.out, "  flows started       %12d\n", res.Flows)
 		fmt.Fprintf(sc.out, "  transfers completed %12d (%d bytes)\n", res.Transfers, res.TransferBytes)
 		fmt.Fprintf(sc.out, "  backbone bulk bytes %12d\n", res.BulkBytes)
-		fmt.Fprintf(sc.out, "  events processed    %12d\n", res.Events)
 		fmt.Fprintf(sc.out, "  sim %0.2fs in wall %0.2fs = %0.2f sim-s/wall-s\n",
 			res.SimSeconds, res.WallSeconds, res.SimRate())
+		sc.reportScheduler(res.Events, res.Scheduler)
 	})
 	if err != nil {
 		return err
@@ -527,6 +528,14 @@ func (sc *scenario) measureAndReport(sched *sim.Scheduler, flows []*workload.Flo
 	for _, l := range labels {
 		fmt.Fprintf(sc.out, "%-10s mean %7.2f Mbps over %d flows\n", l, stats.Mbps(stats.Mean(series[l])), len(series[l]))
 	}
+	sc.reportScheduler(sched.Processed(), sched.Stats())
+}
+
+// reportScheduler prints the event count and the event-queue counters of a
+// finished run, the same figures the run manifest carries.
+func (sc *scenario) reportScheduler(events uint64, st sim.Stats) {
+	fmt.Fprintf(sc.out, "scheduler: %d events, heap pushes %d pops %d (%d cancelled) re-arms %d, lane pushes %d fallbacks %d, peak heap %d\n",
+		events, st.Pushes, st.Pops, st.CancelledPops, st.Rearms, st.LanePushes, st.LaneFallbacks, st.MaxHeapLen)
 }
 
 // suffixPath inserts a suffix before the path's extension:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -163,6 +164,9 @@ func TestGoodRunFileSets(t *testing.T) {
 					t.Fatal(err)
 				}
 				indexed[name] = true
+				if line := fmt.Sprintf("scheduler: %d events, heap pushes %d pops %d ", m.EventsProcessed, m.Scheduler.Pushes, m.Scheduler.Pops); m.Scheduler.LanePushes == 0 || !strings.Contains(stdout, line) {
+					t.Errorf("%s: scheduler block %+v, and no %q on stdout:\n%s", name, *m.Scheduler, line, stdout)
+				}
 				for _, a := range m.Artifacts {
 					indexed[a] = true
 				}
@@ -174,6 +178,9 @@ func TestGoodRunFileSets(t *testing.T) {
 				if !indexed[name] {
 					t.Errorf("%s is indexed by no manifest", name)
 				}
+			}
+			if !strings.Contains(stdout, "\nscheduler: ") {
+				t.Errorf("no scheduler line on stdout:\n%s", stdout)
 			}
 			if strings.Contains(strings.Join(tc.args, " "), "-check") && !strings.Contains(stdout, "invariants: ok (0 violations)") {
 				t.Errorf("no invariant verdict on stdout:\n%s", stdout)

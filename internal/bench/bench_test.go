@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tcppr/internal/netem"
 	"tcppr/internal/psim"
 	"tcppr/internal/sim"
 	"tcppr/internal/workload"
@@ -64,13 +65,20 @@ func TestEngineObsDetachedZeroAllocs(t *testing.T) {
 // is one extra push and one cancelled pop; a lane occurrence is a ring
 // append that never touches the heap, whether it fires (lane-fifo) or is
 // cancelled (lane-cancel, whose one push and pop are the ACK event's own).
+// A forwarded packet is one lane append per hop — its arrival; the queue
+// slot it frees on the way is no event — and the heap sees the two links'
+// anchors once per batch the body drains (one packet, then 256 at a time).
 func TestSchedulerPatternGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark gate in -short mode")
 	}
 	for _, bn := range Suite() {
 		var want sim.Stats
+		anchorsPerBatch := uint64(0)
 		switch bn.Name {
+		case "link/forwarding":
+			want = sim.Stats{LanePushes: 2}
+			anchorsPerBatch = 2
 		case "scheduler/timer-rearm-later":
 			want = sim.Stats{Pushes: 1, Pops: 1, Rearms: 1}
 		case "scheduler/cancel-heavy":
@@ -91,7 +99,8 @@ func TestSchedulerPatternGates(t *testing.T) {
 		}
 		n := uint64(m.Ops)
 		got := *m.Heap
-		if got.Pushes != want.Pushes*n || got.Pops != want.Pops*n ||
+		anchors := anchorsPerBatch * (1 + (n+254)/256)
+		if got.Pushes != want.Pushes*n+anchors || got.Pops != want.Pops*n+anchors ||
 			got.CancelledPops != want.CancelledPops*n || got.Rearms != want.Rearms*n ||
 			got.LanePushes != want.LanePushes*n || got.LaneFallbacks != want.LaneFallbacks*n {
 			t.Errorf("%s over %d ops: %+v, want per op %+v", bn.Name, n, got, want)
@@ -107,11 +116,11 @@ func TestSchedulerPatternGates(t *testing.T) {
 // thousand (6,451 before).
 func TestLanesKeepTheHeapSmall(t *testing.T) {
 	var flow heapCounters
-	sched, segs := steadyStateOp(workload.TCPPR)
+	net, segs := steadyStateOp(workload.TCPPR)
 	if segs == 0 {
 		t.Fatal("flow/pr-steady-state made no progress")
 	}
-	flow.add(sched, sim.Stats{})
+	flow.add(net.Scheduler(), sim.Stats{})
 	if st := flow.total; st.MaxHeapLen > 128 || st.CancelledPops*100 > st.Pops {
 		t.Errorf("flow/pr-steady-state: max heap length %d (want <= 128), %d of %d pops cancelled (want <= 1%%)",
 			st.MaxHeapLen, st.CancelledPops, st.Pops)
@@ -124,6 +133,38 @@ func TestLanesKeepTheHeapSmall(t *testing.T) {
 	if st := city.total; st.MaxHeapLen > 1000 || st.LanePushes == 0 {
 		t.Errorf("psim/city-1shard: max heap length %d (want <= 1000), %d lane pushes", st.MaxHeapLen, st.LanePushes)
 	}
+}
+
+// TestOneEventPerHop holds the event count of the three whole-simulation
+// entries at one event per link traversal plus at most 5 % for everything
+// else (timers, sampler-free workload events, shard injections): a packet
+// crossing a link costs its arrival and nothing more, since the queue slot
+// it frees on the way is settled without an event. Exact counts of one op.
+func TestOneEventPerHop(t *testing.T) {
+	check := func(name string, events uint64, nets ...*netem.Network) {
+		t.Helper()
+		var hops uint64
+		for _, n := range nets {
+			for _, l := range n.Links() {
+				hops += l.Stats().Delivered
+			}
+		}
+		t.Logf("%s: %d events for %d hops (%.3f events/hop)", name, events, hops, float64(events)/float64(hops))
+		if hops == 0 || float64(events) > 1.05*float64(hops) {
+			t.Errorf("%s: more than 1.05 events per hop", name)
+		}
+	}
+	for name, proto := range map[string]string{"flow/pr-steady-state": workload.TCPPR, "flow/sack-steady-state": workload.TCPSACK} {
+		net, _ := steadyStateOp(proto)
+		check(name, net.Scheduler().Processed(), net)
+	}
+	eng, _ := psim.BuildCity(cityRun(1))
+	eng.Run(sim.Time(cityHorizon))
+	var nets []*netem.Network
+	for _, sh := range eng.Shards() {
+		nets = append(nets, sh.Net)
+	}
+	check("psim/city-1shard", eng.Processed(), nets...)
 }
 
 func TestRegressions(t *testing.T) {

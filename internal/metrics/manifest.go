@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
+
+	"tcppr/internal/sim"
 )
 
 // SeriesInfo summarizes one exported series inside a manifest.
@@ -45,6 +47,9 @@ type Manifest struct {
 	EventsProcessed uint64  `json:"events_processed"`
 	// EventsPerSec is the engine throughput (events/wall-second).
 	EventsPerSec float64 `json:"events_per_sec"`
+	// Scheduler holds the event-queue counters (heap and lane traffic),
+	// summed over the run's schedulers; deterministic like EventsProcessed.
+	Scheduler *sim.Stats `json:"scheduler,omitempty"`
 
 	// SamplerInterval is the sampling cadence in seconds (0 when no
 	// sampler was attached); Series lists the exported series.

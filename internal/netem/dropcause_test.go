@@ -9,17 +9,16 @@ import (
 
 // recordObs is a test Observer that logs every lifecycle callback.
 type recordObs struct {
-	sent, enq, deq, del, dup int
-	drops                    []DropCause
-	traces                   []uint64
-	parents                  []uint64
+	sent, enq, del, dup int
+	drops               []DropCause
+	traces              []uint64
+	parents             []uint64
 }
 
 func (o *recordObs) PacketSent(p *Packet) { o.sent++; o.traces = append(o.traces, p.Trace) }
 func (o *recordObs) PacketEnqueued(l *Link, p *Packet, txStart, txEnd, arrive sim.Time) {
 	o.enq++
 }
-func (o *recordObs) PacketDequeued(l *Link, p *Packet)  { o.deq++ }
 func (o *recordObs) PacketDelivered(l *Link, p *Packet) { o.del++ }
 func (o *recordObs) PacketDropped(l *Link, p *Packet, cause DropCause) {
 	o.drops = append(o.drops, cause)
@@ -139,9 +138,10 @@ func TestDropCauseAttribution(t *testing.T) {
 }
 
 // TestObserverLifecycleAndTraceIDs checks the happy-path callback algebra
-// (sent == enqueued == dequeued == delivered) and that every physical
-// packet copy gets a distinct trace ID, with duplicates parented to the
-// copy they were cloned from.
+// (sent == enqueued == delivered, every enqueued packet's queue slot freed
+// when its serialization completes) and that every physical packet copy
+// gets a distinct trace ID, with duplicates parented to the copy they were
+// cloned from.
 func TestObserverLifecycleAndTraceIDs(t *testing.T) {
 	s, net := newTestNet()
 	l1 := net.AddLink("a", "m", mbps(10), time.Millisecond, 64)
@@ -157,15 +157,30 @@ func TestObserverLifecycleAndTraceIDs(t *testing.T) {
 		p.Flow, p.Size, p.Path = 1, 1000, []*Link{l1, l2}
 		net.Send(p)
 	}
+	// 1000 bytes at 10 Mbps serialize in 0.8 ms: at 2 ms hop 1 is in the
+	// middle of its third packet, and hop 2 (whose first packet arrived at
+	// 1.8 ms) in the middle of its first.
+	s.RunUntil(2 * time.Millisecond)
+	if q, d := l1.QueueLen(), l1.Stats().Dequeued; q != n-2 || d != 2 {
+		t.Errorf("hop 1 at 2 ms: queue %d, dequeued %d, want %d and 2", q, d, n-2)
+	}
+	if q, d := l2.QueueLen(), l2.Stats().Dequeued; q != 1 || d != 0 {
+		t.Errorf("hop 2 at 2 ms: queue %d, dequeued %d, want 1 and 0", q, d)
+	}
 	s.Run()
 
 	if obs.sent != n {
 		t.Errorf("sent callbacks = %d, want %d", obs.sent, n)
 	}
 	// Two hops per original; the duplicate is cloned after its original was
-	// enqueued, so it delivers without its own enqueue/dequeue.
-	if obs.enq != 2*n || obs.deq != 2*n {
-		t.Errorf("enq/deq = %d/%d, want %d/%d", obs.enq, obs.deq, 2*n, 2*n)
+	// enqueued, so it delivers without an enqueue or a queue slot of its own.
+	if obs.enq != 2*n {
+		t.Errorf("enq = %d, want %d", obs.enq, 2*n)
+	}
+	for _, l := range []*Link{l1, l2} {
+		if q, d := l.QueueLen(), l.Stats().Dequeued; q != 0 || d != n {
+			t.Errorf("%s after the run: queue %d, dequeued %d, want 0 and %d", l, q, d, n)
+		}
 	}
 	if obs.dup != n {
 		t.Errorf("duplicated callbacks = %d, want %d", obs.dup, n)

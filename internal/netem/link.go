@@ -80,6 +80,12 @@ func (s LinkStats) DropRate() float64 {
 	return float64(lost) / float64(offered)
 }
 
+// departure is the scheduler key of one serialization completion.
+type departure struct {
+	at  sim.Time
+	seq uint64
+}
+
 // Link is a unidirectional store-and-forward link with a drop-tail FIFO
 // output queue, matching the ns-2 DropTail/DelayLink pair the paper used.
 //
@@ -114,22 +120,31 @@ type Link struct {
 	sched     *sim.Scheduler
 	net       *Network
 	obs       Observer
-	queueLen  int
 	busyUntil sim.Time
 	stats     LinkStats
 	down      bool
+
+	// A packet leaves the queue when its serialization completes, and
+	// nothing else happens then, so no event fires for it: Enqueue commits
+	// the key (finish, sequence number) such an event would have had, and
+	// settle retires every key the scheduler has passed before anyone looks
+	// at the occupancy. departs is a ring of the keys not yet retired,
+	// oldest first — finish times never decrease and sequence numbers grow,
+	// so it is sorted — and queueLen, the occupancy, is how many it holds.
+	// Its length is a power of two, or zero before the link's first packet.
+	departs  []departure
+	depHead  int
+	queueLen int
 
 	// deliverFn is the bound deliverEvent method value, created once, at
 	// the link's first packet (see bind), so the per-packet delivery event
 	// captures nothing and an idle link costs its builder no allocation.
 	deliverFn func(any)
-	// A drop-tail link serializes and delivers in FIFO order, so both of
-	// its event streams are sim.Lanes — one scheduler entry each however
-	// many packets are queued or propagating. Arrivals that are out of
-	// order (a jitter draw, a detour, a shortened delay) become ordinary
-	// events inside Lane.At.
-	dequeues   sim.Lane // serialization completions: linkDequeued
-	deliveries sim.Lane // arrivals at the far end: deliverFn
+	// A drop-tail link delivers in FIFO order, so its arrivals are a
+	// sim.Lane — one scheduler entry however many packets are propagating.
+	// Arrivals that are out of order (a jitter draw, a detour, a shortened
+	// delay) become ordinary events inside Lane.At.
+	deliveries sim.Lane
 
 	// txSize → txDur is the last TxTime computed (0 → 0 when none);
 	// SetBandwidth resets it.
@@ -300,10 +315,32 @@ func (l *Link) SetQueueCap(n int) {
 }
 
 // Stats returns a snapshot of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+func (l *Link) Stats() LinkStats {
+	l.settle()
+	return l.stats
+}
 
 // QueueLen returns the instantaneous queue occupancy in packets.
-func (l *Link) QueueLen() int { return l.queueLen }
+func (l *Link) QueueLen() int {
+	l.settle()
+	return l.queueLen
+}
+
+// settle frees the queue slot of every packet whose serialization has
+// completed: its departure key sorts before that of the event now firing,
+// which is exactly when an event scheduled for the departure would have
+// run. Everything that reads or changes the occupancy settles first.
+func (l *Link) settle() {
+	for l.queueLen > 0 {
+		d := l.departs[l.depHead]
+		if !l.sched.Passed(d.at, d.seq) {
+			return
+		}
+		l.depHead = (l.depHead + 1) & (len(l.departs) - 1)
+		l.queueLen--
+		l.stats.Dequeued++
+	}
+}
 
 // TxTime returns the serialization time for a packet of the given size.
 // A link carries one or two packet sizes, so the last answer is kept.
@@ -339,6 +376,7 @@ func (l *Link) Enqueue(p *Packet) bool {
 		l.drop(p, DropLoss)
 		return false
 	}
+	l.settle()
 	if l.red != nil && !l.red.Admit(l.queueLen) {
 		l.stats.REDDropped++
 		l.drop(p, DropRED)
@@ -349,12 +387,6 @@ func (l *Link) Enqueue(p *Packet) bool {
 		l.drop(p, DropQueueFull)
 		return false
 	}
-	l.queueLen++
-	l.stats.Enqueued++
-	if l.queueLen > l.stats.MaxQueue {
-		l.stats.MaxQueue = l.queueLen
-	}
-
 	now := l.sched.Now()
 	p.enqueuedAt = now
 	start := l.busyUntil
@@ -364,21 +396,22 @@ func (l *Link) Enqueue(p *Packet) bool {
 	finish := start + l.TxTime(p.Size)
 	l.busyUntil = finish
 
-	// The queue slot frees when serialization completes; the packet
-	// arrives one propagation delay (plus any jitter draw) later. Both
-	// events ride the link's lanes with closure-free callbacks, so
-	// steady-state forwarding schedules without allocating. With an
-	// observer attached the dequeue event carries the packet instead of the
-	// link, so the serialization-complete span event can name it; the event
-	// count and ordering are identical either way.
+	// The queue slot frees when serialization completes (settle); the
+	// packet arrives one propagation delay (plus any jitter draw) later, on
+	// the link's lane with a closure-free callback, so steady-state
+	// forwarding schedules without allocating.
+	if l.queueLen == len(l.departs) {
+		l.growDeparts()
+	}
+	l.departs[(l.depHead+l.queueLen)&(len(l.departs)-1)] = departure{at: finish, seq: l.sched.Stamp()}
+	l.queueLen++
+	l.stats.Enqueued++
+	if l.queueLen > l.stats.MaxQueue {
+		l.stats.MaxQueue = l.queueLen
+	}
 	if l.deliverFn == nil {
 		l.bind()
 	}
-	var dequeued any = l
-	if l.obs != nil {
-		dequeued = p
-	}
-	l.dequeues.At(finish, dequeued)
 	// Impairment draws happen at enqueue time, in arrival order, so the
 	// RNG streams are consumed deterministically regardless of how the
 	// delivery events interleave with other links' traffic. The corruption
@@ -437,32 +470,23 @@ func (l *Link) Enqueue(p *Packet) bool {
 	return true
 }
 
-// bind readies the link's event callbacks and lanes at its first packet.
+// bind readies the link's delivery callback and lane at its first packet.
 func (l *Link) bind() {
 	l.deliverFn = l.deliverEvent
-	l.dequeues.Init(l.sched, linkDequeued)
 	l.deliveries.Init(l.sched, l.deliverFn)
 }
 
-// linkDequeued is the callback of every link's dequeue lane: serialization
-// completed, the queue slot frees. The argument is the link, or — for a
-// packet enqueued while an observer was attached — the packet, whose route
-// still points at the serializing link, so the observer can attribute the
-// freed slot. An observer attached or detached mid-run therefore hears of
-// exactly the packets enqueued while one was attached and dequeued while
-// one still is.
-func linkDequeued(arg any) {
-	var p *Packet
-	l, untraced := arg.(*Link)
-	if !untraced {
-		p = arg.(*Packet)
-		l = p.NextLink()
-	}
-	l.queueLen--
-	l.stats.Dequeued++
-	if p != nil && l.obs != nil {
-		l.obs.PacketDequeued(l, p)
-	}
+// departsMin is the length of a link's first departure ring: 128 bytes,
+// enough for a link that never queues deeper than its access rate allows.
+const departsMin = 8
+
+// growDeparts moves the departure keys to a ring twice as long, oldest
+// first.
+func (l *Link) growDeparts() {
+	ring := make([]departure, max(2*len(l.departs), departsMin))
+	k := copy(ring, l.departs[l.depHead:])
+	copy(ring[k:], l.departs[:l.depHead])
+	l.departs, l.depHead = ring, 0
 }
 
 // deliverEvent adapts deliver to the scheduler's closure-free callback

@@ -76,11 +76,10 @@ type Observer interface {
 	PacketSent(p *Packet)
 	// PacketEnqueued fires when a link accepts a packet into its output
 	// queue, with the committed schedule: serialization [txStart, txEnd]
-	// and arrival at the far end (txEnd + propagation + jitter draw).
+	// and arrival at the far end (txEnd + propagation + jitter draw). The
+	// queue slot frees at txEnd with no notification of its own: no event
+	// fires then (see Link.settle).
 	PacketEnqueued(l *Link, p *Packet, txStart, txEnd, arrive sim.Time)
-	// PacketDequeued fires when serialization completes and the queue slot
-	// frees (the packet is now propagating).
-	PacketDequeued(l *Link, p *Packet)
 	// PacketDelivered fires when the link hands the packet to the
 	// downstream node; the packet still reads as being on this link.
 	PacketDelivered(l *Link, p *Packet)

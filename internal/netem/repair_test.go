@@ -293,7 +293,6 @@ type dropObs struct{ causes *[]DropCause }
 
 func (dropObs) PacketSent(*Packet)                                           {}
 func (dropObs) PacketEnqueued(*Link, *Packet, sim.Time, sim.Time, sim.Time)  {}
-func (dropObs) PacketDequeued(*Link, *Packet)                                {}
 func (dropObs) PacketDelivered(*Link, *Packet)                               {}
 func (o dropObs) PacketDropped(_ *Link, _ *Packet, c DropCause)              { *o.causes = append(*o.causes, c) }
 func (dropObs) PacketDuplicated(*Link, *Packet, *Packet, sim.Time, sim.Time) {}

@@ -88,8 +88,10 @@ type CityResult struct {
 	TransferBytes int64
 	// BulkBytes sums unique bytes delivered by the backbone flows.
 	BulkBytes int64
-	// Events is the total executed across all shard schedulers.
-	Events uint64
+	// Events is the total executed across all shard schedulers, Scheduler
+	// their event-queue counters.
+	Events    uint64
+	Scheduler sim.Stats
 	// Violations sums invariant violations across shards (0 when checking
 	// is off).
 	Violations uint64
@@ -228,6 +230,7 @@ func (st *CityState) Finish(wall time.Duration) CityResult {
 		SimSeconds:  st.cfg.Horizon.Seconds(),
 		WallSeconds: wall.Seconds(),
 		Events:      st.eng.Processed(),
+		Scheduler:   st.eng.SchedulerStats(),
 	}
 	for _, s := range st.sources {
 		res.Transfers += s.Transfers

@@ -438,6 +438,16 @@ func (e *Engine) exchange() {
 	}
 }
 
+// SchedulerStats totals the shards' event-queue counters; MaxHeapLen is
+// that of the deepest shard heap.
+func (e *Engine) SchedulerStats() sim.Stats {
+	var t sim.Stats
+	for _, sh := range e.shards {
+		t.Add(sh.Sched.Stats(), sim.Stats{})
+	}
+	return t
+}
+
 // Processed sums the events executed across all shards.
 func (e *Engine) Processed() uint64 {
 	var n uint64

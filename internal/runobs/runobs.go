@@ -638,9 +638,11 @@ func (sc *Scope) Finish(f Fields) error {
 			Name: sc.name, Experiment: f.Experiment, Topology: f.Topology, Variant: f.Variant,
 			Seed: f.Seed, Params: f.Params,
 			SimSeconds: sc.horizon.Seconds(), WallSeconds: metrics.Wall(sc.start),
+			Scheduler: &sim.Stats{},
 		}
 		for _, s := range sc.scheds {
 			m.EventsProcessed += s.Processed()
+			m.Scheduler.Add(s.Stats(), sim.Stats{})
 		}
 		m.FillRates()
 		if len(f.Counters) > 0 {

@@ -261,6 +261,9 @@ func TestRunCityIndexesEngineArtifacts(t *testing.T) {
 	if m.EventsProcessed != res.Events || m.Counters["flows"] != uint64(res.Flows) || m.Params["shards"] != 2 {
 		t.Errorf("manifest totals: events=%d counters=%v params=%v", m.EventsProcessed, m.Counters, m.Params)
 	}
+	if m.Scheduler == nil || *m.Scheduler != res.Scheduler || res.Scheduler.LanePushes == 0 {
+		t.Errorf("manifest scheduler block %+v, the engine's shards total %+v", m.Scheduler, res.Scheduler)
+	}
 }
 
 func TestProblems(t *testing.T) {

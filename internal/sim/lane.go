@@ -213,7 +213,7 @@ func (l *Lane) dropHead() {
 func (s *Scheduler) fireLane(e *Event) {
 	l := e.lane
 	it := &l.ring[l.head]
-	at, arg := it.at, it.arg
+	at, seq, arg := it.at, it.seq, it.arg
 	it.arg = nil
 	l.dropHead()
 	if l.n > 0 {
@@ -224,7 +224,7 @@ func (s *Scheduler) fireLane(e *Event) {
 		s.release(e)
 	}
 	s.live--
-	s.now = at
+	s.now, s.fireSeq = at, seq
 	s.processed++
 	l.fn(arg)
 }

@@ -9,7 +9,9 @@ import (
 // The reference model of the event queue: a slice kept in scheduling
 // order and stable-sorted by time on every step, where cancel is delete,
 // a timer reset is cancel plus append, and a lane is nothing at all —
-// Lane.At is one more append. It is what the scheduler's documentation
+// Lane.At is one more append. Stamp draws a sequence number and appends
+// nothing, and a key has passed once a greater one has been executed or a
+// run loop has left nothing at its time. It is what the scheduler's documentation
 // promises and nothing more, so any divergence of the real queue (4-ary
 // heap, lazy cancellation, in-place re-arm with stale keys, pooled events
 // behind generation-checked handles, lanes behind one anchor each) is a
@@ -29,6 +31,34 @@ type model struct {
 	processed uint64
 	q         []modelEvent
 	fired     []int
+	masks     []int // which marks had passed, as seen from each fired event
+
+	// The key of the last event executed (they execute in key order, so it
+	// is the greatest), and what the last run loop to finish left behind:
+	// nothing at or before drainedAt among the keys drawn by then.
+	last       modelEvent
+	executed   bool
+	drainedAt  Time
+	drainedSeq uint64
+	drainedAny bool
+}
+
+// passed is the model's Scheduler.Passed for a key whose time was not in
+// the past when its sequence number was drawn.
+func (m *model) passed(at Time, seq uint64) bool {
+	if m.executed && (at < m.last.at || (at == m.last.at && seq < m.last.seq)) {
+		return true
+	}
+	return m.drainedAny && at <= m.drainedAt && seq < m.drainedSeq
+}
+
+// drain is the model's side of a run loop that stopped at t with nothing
+// at or before t left to execute.
+func (m *model) drain(t Time) {
+	if m.now < t {
+		m.now = t
+	}
+	m.drainedAt, m.drainedSeq, m.drainedAny = t, m.seq, true
 }
 
 func (m *model) schedule(ev modelEvent) {
@@ -86,6 +116,7 @@ const (
 	fuzzSlots  = 16 // handle slots
 	fuzzTimers = 3
 	fuzzLanes  = 2
+	fuzzMarks  = 4       // keys drawn with Stamp
 	timerID0   = 1 << 30 // timers fire as timerID0+k
 )
 
@@ -103,6 +134,7 @@ const (
 	opLaneAt             // Lane.At(max(now, lane's last time)+arg&3): in order; arg>>4 as for opAt, the child on the same lane
 	opLaneAtAny          // Lane.At(now+arg&15): in order or not; arg>>4 likewise
 	opLaneRelease        // Lane.Release
+	opStamp              // mark[slot] = (now+arg&3, Stamp()); Passed is asked of every mark after every op and from every callback
 	opCount
 )
 
@@ -139,6 +171,14 @@ func (sl fuzzSlot) pending() bool {
 	return sl.h.Pending()
 }
 
+// mark is a key drawn with Stamp: the time asked for and the sequence
+// number the scheduler and the model both handed out.
+type mark struct {
+	at  Time
+	seq uint64
+	set bool
+}
+
 // laneArg is the argument of one lane occurrence.
 type laneArg struct{ id, lane, child, cancel int }
 
@@ -148,6 +188,8 @@ type harness struct {
 	s      *Scheduler
 	m      model
 	fired  []int
+	masks  []int // real side of model.masks
+	marks  [fuzzMarks]mark
 	slots  [fuzzSlots]fuzzSlot
 	timers [fuzzTimers]*Timer
 	last   [fuzzTimers]Time // deadline most recently asked of each timer
@@ -173,7 +215,7 @@ func newHarness(t *testing.T, plain bool) *harness {
 		k := k
 		h.self[k], h.mself[k] = -1, -1
 		h.timers[k] = NewTimer(h.s, func() {
-			h.fired = append(h.fired, timerID0+k)
+			h.fire(timerID0 + k)
 			if d := h.self[k]; d >= 0 {
 				h.self[k] = -1
 				h.timers[k].Reset(h.s.Now() + Time(d))
@@ -181,6 +223,24 @@ func newHarness(t *testing.T, plain bool) *harness {
 		})
 	}
 	return h
+}
+
+// fire is the head of every callback on the real side: it records the
+// event and which marks the scheduler says have passed, seen from inside it.
+func (h *harness) fire(id int) {
+	h.fired = append(h.fired, id)
+	h.masks = append(h.masks, h.passedMask(h.s.Passed))
+}
+
+// passedMask asks passed of every mark.
+func (h *harness) passedMask(passed func(Time, uint64) bool) int {
+	mask := 0
+	for i, mk := range h.marks {
+		if mk.set && passed(mk.at, mk.seq) {
+			mask |= 1 << i
+		}
+	}
+	return mask
 }
 
 // laneAt schedules one occurrence on lane k, or its plain equivalent.
@@ -198,7 +258,7 @@ func (h *harness) laneAt(k int, at Time, a *laneArg) fuzzSlot {
 // laneFire is every lane's callback.
 func (h *harness) laneFire(arg any) {
 	a := arg.(*laneArg)
-	h.fired = append(h.fired, a.id)
+	h.fire(a.id)
 	if a.child >= 0 {
 		h.laneAt(a.lane, h.s.Now()+Time(a.child), &laneArg{id: -a.id, lane: a.lane, child: -1, cancel: -1})
 	}
@@ -218,7 +278,9 @@ func (h *harness) modelStep() {
 	h.m.q = append(h.m.q[:i], h.m.q[i+1:]...)
 	h.m.now = ev.at
 	h.m.processed++
+	h.m.last, h.m.executed = ev, true
 	h.m.fired = append(h.m.fired, ev.id)
+	h.m.masks = append(h.m.masks, h.passedMask(h.m.passed))
 	if ev.id >= timerID0 {
 		k := ev.id - timerID0
 		if d := h.mself[k]; d >= 0 {
@@ -259,14 +321,21 @@ func (h *harness) exec(code, slot, arg int) {
 		m.schedule(modelEvent{at: at, id: id, childDelay: child, cancelSlot: cancel})
 	case opLaneRelease:
 		h.lanes[slot%fuzzLanes].Release()
+	case opStamp:
+		mk := mark{at: s.Now() + Time(arg&3), seq: s.Stamp(), set: true}
+		if mk.seq != m.seq {
+			h.t.Fatalf("Stamp() = %d, model %d", mk.seq, m.seq)
+		}
+		m.seq++
+		h.marks[slot%fuzzMarks] = mk
 	case opAt:
 		id := h.nextID
 		h.nextID++
 		at := s.Now() + Time(arg&15)
 		h.slots[slot] = fuzzSlot{id: id, h: s.At(at, func() {
-			h.fired = append(h.fired, id)
+			h.fire(id)
 			if child >= 0 {
-				s.At(s.Now()+Time(child), func() { h.fired = append(h.fired, -id) })
+				s.At(s.Now()+Time(child), func() { h.fire(-id) })
 			}
 			if cancel >= 0 {
 				h.slots[cancel].cancel()
@@ -278,7 +347,7 @@ func (h *harness) exec(code, slot, arg int) {
 		h.nextID++
 		at := s.Now() + Time(arg&15)
 		h.slots[slot] = fuzzSlot{id: id, h: s.AtFunc(at, func(a any) {
-			h.fired = append(h.fired, *a.(*int))
+			h.fire(*a.(*int))
 		}, &id)}
 		m.schedule(modelEvent{at: at, id: id, childDelay: -1, cancelSlot: -1})
 	case opCancel:
@@ -321,9 +390,7 @@ func (h *harness) exec(code, slot, arg int) {
 			}
 			h.modelStep()
 		}
-		if m.now < until {
-			m.now = until
-		}
+		m.drain(until)
 	}
 }
 
@@ -339,6 +406,13 @@ func (h *harness) check(step int) {
 		if h.fired[i] != m.fired[i] {
 			t.Fatalf("op %d: fire order %v, model %v", step, h.fired, m.fired)
 		}
+		if h.masks[i] != m.masks[i] {
+			t.Fatalf("op %d: inside event %d (the %dth fired) marks %04b had passed, model %04b; marks %+v",
+				step, h.fired[i], i, h.masks[i], m.masks[i], h.marks)
+		}
+	}
+	if got, want := h.passedMask(s.Passed), h.passedMask(m.passed); got != want {
+		t.Fatalf("op %d: between events marks %04b have passed, model %04b; marks %+v", step, got, want, h.marks)
 	}
 	if s.Now() != m.now || s.Processed() != m.processed || s.Len() != len(m.q) {
 		t.Fatalf("op %d: now=%v processed=%d len=%d, model now=%v processed=%d len=%d",
@@ -456,6 +530,7 @@ func runProgram(t *testing.T, program []byte) {
 		for len(h.m.q) > 0 {
 			h.modelStep()
 		}
+		h.m.drain(h.m.now)
 		h.check(len(program) / 2)
 		if len(h.s.heap) != 0 {
 			t.Fatalf("heap holds %d entries after Run", len(h.s.heap))
@@ -467,9 +542,11 @@ func runProgram(t *testing.T, program []byte) {
 // Timer.Reset (later, earlier, equal, from inside its own callback) /
 // Timer.Stop / Lane.At (in order, out of order, from inside the lane's own
 // callback) / Cancel of lane occurrences (head, middle, tail) /
-// Lane.Release / Step / RunUntil against the reference model and requires
-// identical fire order and identical answers from every accessor after
-// every operation, with pool-ownership checking armed.
+// Lane.Release / Stamp / Step / RunUntil against the reference model and
+// requires identical fire order and identical answers from every accessor —
+// Passed of every stamped key included, asked between events and from
+// inside every callback — after every operation, with pool-ownership
+// checking armed.
 func FuzzSchedulerOrder(f *testing.F) {
 	// Revive after Stop: the cancelled entry is still queued when Reset
 	// comes, is re-armed in place and must fire once, at the new time.
@@ -520,6 +597,16 @@ func FuzzSchedulerOrder(f *testing.F) {
 	// not before the dead key), and a drained lane hands its ring back.
 	f.Add(prog(op(opLaneAtAny, 0, 3), op(opCancel, 0, 0), op(opLaneRelease, 0, 0), op(opLaneAtAny, 0, 7),
 		op(opAt, 1, 5), op(opStep, 0, 0), op(opStep, 0, 0), op(opCancel, 0, 0), op(opStep, 0, 0)))
+
+	// Stamped keys at one timestamp, drawn before, between and after the
+	// events that share it; a timer re-armed in place fires under its fresh
+	// sequence number, so the key stamped before the Reset has passed inside
+	// it and the one stamped after has not; Step stops mid-timestamp and
+	// RunUntil then drains it.
+	f.Add(prog(op(opStamp, 0, 2), op(opAt, 0, 2), op(opStamp, 1, 2), op(opReset, 0, 1), op(opReset, 0, 2),
+		op(opStamp, 2, 2), op(opLaneAt, 1, 2), op(opStamp, 3, 2), op(opStep, 0, 0), op(opStep, 0, 0),
+		op(opStamp, 0, 0), op(opAtFunc, 2, 0), op(opStep, 0, 0), op(opRunUntil, 0, 0), op(opStamp, 1, 0),
+		op(opAt, 3, 0), op(opRunUntil, 0, 3)))
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 32; i++ {

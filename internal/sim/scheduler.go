@@ -147,8 +147,13 @@ const initialHeapCap = 256
 // Scheduler owns the virtual clock and the pending-event queue.
 // The zero value is not usable; create one with NewScheduler.
 type Scheduler struct {
-	now       Time
-	seq       uint64
+	now Time
+	seq uint64
+	// fireSeq is the sequence number of the event being fired: (now,
+	// fireSeq) is its key. Once a run loop has fired everything at or before
+	// now it is the next sequence number to be drawn instead, larger than
+	// that of any occurrence scheduled so far (see Passed).
+	fireSeq   uint64
 	heap      []entry // 4-ary min-heap; heap[i].key <= heap[i].e.key
 	free      []*Event
 	rings     [][]laneItem // lane storage handed back by Lane.Release or outgrown
@@ -180,6 +185,20 @@ type Stats struct {
 	LanePushes    uint64 `json:"lane_pushes"`    // Lane.At calls appended to the lane's ring
 	LaneFallbacks uint64 `json:"lane_fallbacks"` // Lane.At calls out of order for the lane: plain heap events
 	MaxHeapLen    int    `json:"max_heap_len"`   // largest heap length, cancelled entries included
+}
+
+// Add folds into t what one scheduler did since an earlier snapshot of its
+// counters (the zero Stats for its whole life): counts sum, and MaxHeapLen
+// is the largest seen, so a total over shards reports the deepest heap.
+func (t *Stats) Add(st, since Stats) {
+	t.Pushes += st.Pushes - since.Pushes
+	t.Pops += st.Pops - since.Pops
+	t.CancelledPops += st.CancelledPops - since.CancelledPops
+	t.Rearms += st.Rearms - since.Rearms
+	t.StaleSinks += st.StaleSinks - since.StaleSinks
+	t.LanePushes += st.LanePushes - since.LanePushes
+	t.LaneFallbacks += st.LaneFallbacks - since.LaneFallbacks
+	t.MaxHeapLen = max(t.MaxHeapLen, st.MaxHeapLen)
 }
 
 // Stats returns the queue counters accumulated since NewScheduler.
@@ -239,6 +258,32 @@ func (s *Scheduler) NextAt() (Time, bool) {
 		return e.at, true
 	}
 	return 0, false
+}
+
+// Stamp draws the sequence number an event scheduled at this point of the
+// program would get, without scheduling one. With a time it forms the key
+// of an occurrence that never enters the queue: its owner asks Passed
+// whether the occurrence would have fired yet, and does the work then.
+func (s *Scheduler) Stamp() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// Passed reports whether an event with the key (at, seq) — seq drawn by
+// Stamp — would have fired already: its key sorts before that of the event
+// being fired or, between runs, before everything the last run left behind.
+func (s *Scheduler) Passed(at Time, seq uint64) bool {
+	return at < s.now || (at == s.now && seq < s.fireSeq)
+}
+
+// drained moves the clock to t, at which a run loop stopped because no
+// event at or before t is left; a t the clock is already past changes
+// nothing. Every key drawn so far that is not after t has passed.
+func (s *Scheduler) drained(t Time) {
+	if t >= s.now {
+		s.now, s.fireSeq = t, s.seq
+	}
 }
 
 // checkFuture panics when t lies in the past: that is always a logic error
@@ -375,7 +420,7 @@ func (s *Scheduler) fire(e *Event) {
 	}
 	s.popTop()
 	s.live--
-	s.now = e.at
+	s.now, s.fireSeq = e.at, e.seq
 	s.processed++
 	fn, fnArg, arg := e.fn, e.fnArg, e.arg
 	// Recycle before running the callback: the event is logically
@@ -394,6 +439,7 @@ func (s *Scheduler) fire(e *Event) {
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
+	s.drained(s.now)
 }
 
 // RunUntil executes events with timestamps <= t and then advances the clock
@@ -406,9 +452,7 @@ func (s *Scheduler) RunUntil(t Time) {
 		}
 		s.fire(e)
 	}
-	if s.now < t {
-		s.now = t
-	}
+	s.drained(t)
 }
 
 // RunUntilCond executes events until done() reports true, the clock would
@@ -426,9 +470,7 @@ func (s *Scheduler) RunUntilCond(limit Time, done func() bool) bool {
 	for {
 		e := s.peek()
 		if e == nil || e.at > limit {
-			if s.now < limit {
-				s.now = limit
-			}
+			s.drained(limit)
 			return false
 		}
 		s.fire(e)

@@ -31,6 +31,8 @@ func writeTSVLine(w io.Writer, e Event) error {
 	}
 	detail := e.Note
 	switch e.Kind {
+	case Enqueue:
+		detail = fmt.Sprintf("tx_end=%.6f arrive=%.6f", e.TxEnd.Seconds(), e.Arrive.Seconds())
 	case Drop:
 		detail = e.Cause.String()
 	case Cwnd:

@@ -142,11 +142,11 @@ func WriteChromeTrace(w io.Writer, events []Event, labels *Collector) error {
 				Name: "drop: " + e.Cause.String(), Ph: "i", S: "t", Ts: us(e.At),
 				Pid: pidOf(e.Link), Tid: 0, Args: pktArgs(e),
 			})
-		case Dequeue, Deliver:
-			// Dequeue/Deliver bound the tx/prop spans already emitted at
-			// Enqueue; a final-hop delivery additionally marks the flow
-			// track so end-to-end arrival shows next to the sender state.
-			if e.Kind == Deliver && e.Final {
+		case Deliver:
+			// Deliver bounds the prop span already emitted at Enqueue; a
+			// final-hop delivery additionally marks the flow track so
+			// end-to-end arrival shows next to the sender state.
+			if e.Final {
 				out = append(out, chromeEvent{
 					Name: "recv", Ph: "i", S: "t", Ts: us(e.At),
 					Pid: flowPid(e.Flow), Tid: 0, Args: pktArgs(e),

@@ -43,8 +43,6 @@ const (
 	// committed schedule (queue wait ends at TxStart, serialization at
 	// TxEnd, propagation at Arrive).
 	Enqueue
-	// Dequeue: serialization completed, the queue slot freed.
-	Dequeue
 	// Deliver: the link handed the packet to the downstream node; Final
 	// marks arrival at the route's last hop (the destination endpoint).
 	Deliver
@@ -82,8 +80,6 @@ func (k Kind) String() string {
 		return "send"
 	case Enqueue:
 		return "enq"
-	case Dequeue:
-		return "deq"
 	case Deliver:
 		return "deliver"
 	case Drop:
@@ -330,14 +326,6 @@ func (c *Collector) PacketEnqueued(l *netem.Link, p *netem.Packet, txStart, txEn
 		At: c.sched.Now(), Kind: Enqueue, Flow: int32(p.Flow), Size: int32(p.Size),
 		Seq: seqOf(p), Retx: retxOf(p), Trace: p.Trace, Parent: p.Parent,
 		TxStart: txStart, TxEnd: txEnd, Arrive: arrive, Link: l.String(),
-	})
-}
-
-// PacketDequeued implements netem.Observer.
-func (c *Collector) PacketDequeued(l *netem.Link, p *netem.Packet) {
-	c.push(Event{
-		At: c.sched.Now(), Kind: Dequeue, Flow: int32(p.Flow), Size: int32(p.Size),
-		Seq: seqOf(p), Retx: retxOf(p), Trace: p.Trace, Parent: p.Parent, Link: l.String(),
 	})
 }
 

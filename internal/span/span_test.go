@@ -252,7 +252,7 @@ func TestProbeEventsRecorded(t *testing.T) {
 	for _, e := range c.Events() {
 		kinds[e.Kind]++
 	}
-	for _, k := range []Kind{Send, Enqueue, Dequeue, Deliver, Drop, Cwnd, RTT, LossTimer} {
+	for _, k := range []Kind{Send, Enqueue, Deliver, Drop, Cwnd, RTT, LossTimer} {
 		if kinds[k] == 0 {
 			t.Errorf("no %v events recorded (%v)", k, kinds)
 		}
