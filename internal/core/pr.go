@@ -146,9 +146,10 @@ type Config struct {
 	// cumulative jump ends a loss-detection stall), the excess is paced
 	// at one packet per ewrtt/cwnd instead of blasted into the queue.
 	// This mirrors the ns-2 maxburst_ knob the paper-era simulation
-	// culture applied to every TCP agent. Default 1 (fully paced window
-	// reopenings — measurably the fairest against TCP-SACK, see the
-	// ablation benches); negative disables.
+	// culture applied to every TCP agent, but only TCP-PR applies it
+	// here: no other sender paces. Default 1 (fully paced window
+	// reopenings); negative disables. No ablation of it exists yet; it
+	// is tracked as ROADMAP item 10a.
 	MaxBurst int
 }
 

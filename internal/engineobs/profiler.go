@@ -91,15 +91,6 @@ func NewProfiler(shards int) *Profiler {
 	}
 }
 
-// SetMaxWindows overrides the retained-row cap (aggregates are unaffected).
-func (p *Profiler) SetMaxWindows(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n > 0 {
-		p.maxWindows = n
-	}
-}
-
 // WindowStart implements EngineObserver.
 func (p *Profiler) WindowStart(window int, start, end sim.Time) {
 	p.mu.Lock()

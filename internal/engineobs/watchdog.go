@@ -118,9 +118,6 @@ func (w *Watchdog) Stop() {
 	<-w.done
 }
 
-// Stalled reports whether a stall was declared.
-func (w *Watchdog) Stalled() bool { return w != nil && w.stalled.Load() }
-
 func (w *Watchdog) loop() {
 	defer close(w.done)
 	tick := time.NewTicker(w.cfg.poll)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"tcppr/internal/core"
 	"tcppr/internal/routing"
@@ -94,29 +93,6 @@ func (r AblationBetaResult) Table() *Table {
 		t.AddRow(f2(p.Beta), f3(p.LossRate), f3(p.MeanSACK), f3(p.MeanPR))
 	}
 	return t
-}
-
-// AblationPRVariant runs one single-flow Fig 5 scenario (ε = 0) with a
-// customized TCP-PR configuration and returns goodput in Mbps plus the
-// sender's event counters. It backs the memorize-list and send-time-cwnd
-// ablations.
-func AblationPRVariant(cfg core.Config, delay time.Duration, d Durations, seed int64) (mbps float64, sender *core.Sender) {
-	sched := sim.NewScheduler()
-	m := topo.NewMultipath(sched, 3, delay)
-	fwd := routing.NewEpsilon(m.FwdPaths, 0, sim.NewRand(sim.SplitSeed(seed, 1)))
-	rev := routing.NewEpsilon(m.RevPaths, 0, sim.NewRand(sim.SplitSeed(seed, 2)))
-	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
-	var s *core.Sender
-	f.Attach(func(env tcp.SenderEnv) tcp.Sender {
-		s = core.New(env, cfg)
-		return s
-	})
-	f.Start(0)
-	var start, end int64
-	sched.At(d.Warm, func() { start = f.UniqueBytes() })
-	sched.At(d.Warm+d.Measure, func() { end = f.UniqueBytes() })
-	sched.RunUntil(d.Warm + d.Measure)
-	return stats.Mbps(stats.Throughput(end-start, d.Measure)), s
 }
 
 // AblationBurstResult compares TCP-PR's drop reaction with and without

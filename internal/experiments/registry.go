@@ -74,11 +74,10 @@ type CSVFile struct {
 }
 
 // Report is the outcome of one registered experiment run: the printable
-// result tables, in display order, and the raw per-point CSV exports
-// (already written to RunConfig.CSVDir when that was set).
+// result tables, in display order. Its raw per-point CSV exports are
+// already written to RunConfig.CSVDir when that was set.
 type Report interface {
 	Tables() []*Table
-	CSVFiles() []CSVFile
 }
 
 // report is the concrete Report every Spec returns.
@@ -87,8 +86,7 @@ type report struct {
 	csvs   []CSVFile
 }
 
-func (r report) Tables() []*Table    { return r.tables }
-func (r report) CSVFiles() []CSVFile { return r.csvs }
+func (r report) Tables() []*Table { return r.tables }
 
 // finish completes a spec run: surface a failed export or any invariant
 // violation as the run's error, write the metrics aggregate and the CSV

@@ -98,7 +98,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 					t.Errorf("table %d (%q) prints empty", i, tb.Title)
 				}
 			}
-			for _, f := range rep.CSVFiles() {
+			for _, f := range rep.(report).csvs {
 				data, err := os.ReadFile(filepath.Join(dir, f.Name))
 				if err != nil {
 					t.Fatalf("CSV %s not written: %v", f.Name, err)

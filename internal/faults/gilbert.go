@@ -54,9 +54,6 @@ func DefaultGE(rng *rand.Rand) *GilbertElliott {
 	return NewGilbertElliott(0.002, 0.05, 0, 0.9, rng)
 }
 
-// Bad reports whether the model is currently in the Bad state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Drop implements netem.LossModel. The state-transition draw happens
 // first, then the loss draw under the new state, one packet per call — two
 // RNG consumptions per packet, fixed, so the stream stays aligned across

@@ -16,8 +16,8 @@ import (
 
 // blackoutRun drives one finite transfer through a dumbbell whose
 // bottleneck goes dark in both directions for [from, from+dur), and
-// returns the flow plus the virtual time the transfer completed (or limit
-// if it never did).
+// returns the flow, the virtual time the transfer completed, and whether it
+// completed by limit.
 func blackoutRun(t *testing.T, proto string, segs int64, from sim.Time, dur time.Duration, limit sim.Time) (*tcp.Flow, sim.Time, bool) {
 	t.Helper()
 	sched := sim.NewScheduler()
@@ -34,8 +34,9 @@ func blackoutRun(t *testing.T, proto string, segs int64, from sim.Time, dur time
 		routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
 	workload.NewFlow(f, proto, workload.PRParams{MaxDataPkts: segs}, 0)
 
-	done := sched.RunUntilCond(limit, func() bool { return f.Receiver().UniqueSegs >= segs })
-	return f, sched.Now(), done
+	for f.Receiver().UniqueSegs < segs && sched.Now() <= limit && sched.Step() {
+	}
+	return f, sched.Now(), f.Receiver().UniqueSegs >= segs && sched.Now() <= limit
 }
 
 // TestBlackoutSurvivalAllProtocols is the survival matrix's hard floor: a

@@ -2,9 +2,11 @@ package integration
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
@@ -13,10 +15,18 @@ import (
 	"tcppr/internal/workload"
 )
 
+// exitEvent is one delivery ('d') or drop ('x') on a path's exit hop.
+type exitEvent struct {
+	at   sim.Time
+	link string
+	kind byte
+}
+
 // flapRun drives one TCP-PR flow over the multipath topology with a
 // deterministically flapping forward route, recording the flow trace and
-// the per-link event log of every path's exit hop.
-func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Recorder, *trace.LinkRecorder, string) {
+// the deliveries and drops on every path's exit hop. The returned log is
+// the flow trace's TSV followed by one line per exit-hop event.
+func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Recorder, []exitEvent, string) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	m := topo.NewMultipath(sched, 3, 10*time.Millisecond)
@@ -27,21 +37,30 @@ func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Record
 
 	rec := trace.NewRecorder()
 	rec.Attach(f)
-	lrec := trace.NewLinkRecorder(sched)
+	var exits []exitEvent
+	var buf bytes.Buffer
 	for _, p := range m.FwdPaths {
-		lrec.Attach(p[len(p)-1]) // exit hop: a delivery here pins which path carried the packet
+		l := p[len(p)-1] // exit hop: a delivery here pins which path carried the packet
+		note := func(kind byte, prev func(*netem.Packet)) func(*netem.Packet) {
+			return func(pkt *netem.Packet) {
+				exits = append(exits, exitEvent{sched.Now(), l.String(), kind})
+				fmt.Fprintf(&buf, "%.6f\t%c\t%s\t%d\t%d\t%d\n",
+					time.Duration(sched.Now()).Seconds(), kind, l, pkt.Flow, pkt.ID, pkt.Size)
+				if prev != nil {
+					prev(pkt)
+				}
+			}
+		}
+		l.OnDeliver, l.OnDrop = note('d', l.OnDeliver), note('x', l.OnDrop)
 	}
 	workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
 	sched.RunUntil(10 * time.Second)
 
-	var buf bytes.Buffer
-	if err := rec.WriteTSV(&buf); err != nil {
+	var tsv bytes.Buffer
+	if err := rec.WriteTSV(&tsv); err != nil {
 		t.Fatal(err)
 	}
-	if err := lrec.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return m, rec, lrec, buf.String()
+	return m, rec, exits, tsv.String() + buf.String()
 }
 
 // TestFlapLeavesInFlightPacketsOnOldPath pins the source-routing contract
@@ -52,7 +71,7 @@ func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Record
 // spacing, so a flap from the long path to a shorter one MUST reorder.
 func TestFlapLeavesInFlightPacketsOnOldPath(t *testing.T) {
 	const period = 250 * time.Millisecond
-	m, rec, lrec, _ := flapRun(t, period)
+	m, rec, exits, _ := flapRun(t, period)
 
 	// Index each exit hop back to its path position in the flap cycle.
 	pathOf := map[string]int{}
@@ -60,16 +79,16 @@ func TestFlapLeavesInFlightPacketsOnOldPath(t *testing.T) {
 		pathOf[p[len(p)-1].String()] = i
 	}
 	afterFlap := 0
-	for _, e := range lrec.Events {
-		if e.Kind != 'd' {
+	for _, e := range exits {
+		if e.kind != 'd' {
 			continue
 		}
-		i, ok := pathOf[e.Link]
+		i, ok := pathOf[e.link]
 		if !ok {
-			t.Fatalf("delivery on unexpected link %s", e.Link)
+			t.Fatalf("delivery on unexpected link %s", e.link)
 		}
 		// The path the flap router was selecting at delivery time.
-		active := int(e.At/sim.Time(period)) % len(m.FwdPaths)
+		active := int(e.at/sim.Time(period)) % len(m.FwdPaths)
 		if i != active {
 			afterFlap++
 		}
@@ -80,9 +99,14 @@ func TestFlapLeavesInFlightPacketsOnOldPath(t *testing.T) {
 	if rec.ReorderRate() == 0 {
 		t.Error("flapping across paths of different lengths produced no receiver-side reordering")
 	}
-	if rec.CountKind(trace.DataRecv) < 1000 {
-		t.Errorf("only %d data arrivals in 10s; the flow is not making progress under flaps",
-			rec.CountKind(trace.DataRecv))
+	arrivals := 0
+	for _, e := range rec.Events {
+		if e.Kind == trace.DataRecv {
+			arrivals++
+		}
+	}
+	if arrivals < 1000 {
+		t.Errorf("only %d data arrivals in 10s; the flow is not making progress under flaps", arrivals)
 	}
 }
 

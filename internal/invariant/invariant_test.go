@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"tcppr/internal/faults"
 	"tcppr/internal/metrics"
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
@@ -376,79 +375,40 @@ func TestRepairLedgerCatchesMissingFlush(t *testing.T) {
 	}
 }
 
-// TestShapesCleanUnderReorderModels is the shape × model crossing: every
-// registered workload shape must compose with every canned reordering
-// source without tripping the custody or conservation ledgers.
+// TestShapesCleanUnderReorderModels is the traffic × model crossing: the
+// on/off source, the short-transfer workload of the city and the churn
+// matrix, must compose with every canned reordering source without
+// tripping the custody or conservation ledgers.
 func TestShapesCleanUnderReorderModels(t *testing.T) {
-	shapeOpts := map[string]workload.Options{
-		"onoff":   {MeanSizePkts: 10, MeanThink: 100 * time.Millisecond},
-		"http":    {MeanThink: 100 * time.Millisecond},
-		"poisson": {Flows: 10, Rate: 5, MeanSizePkts: 10},
-		"incast":  {BlockPkts: 16, Rounds: 3},
-		"handoff": {
-			Protocol:     workload.TCPPR,
-			HandoffEvery: 2 * time.Second,
-			HandoffDelay: 20 * time.Millisecond,
-			FlapFor:      40 * time.Millisecond,
-			Rounds:       3,
-		},
-	}
-	for _, shape := range workload.ShapeNames() {
-		opts, ok := shapeOpts[shape]
-		if !ok {
-			t.Fatalf("shape %q registered but this crossing has no options for it", shape)
+	for _, model := range netem.ReorderScenarioNames() {
+		if model == "none" {
+			continue
 		}
-		for _, model := range netem.ReorderScenarioNames() {
-			if model == "none" {
-				continue
+		t.Run("onoff/"+model, func(t *testing.T) {
+			sc, err := netem.ReorderScenarioByName(model)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(shape+"/"+model, func(t *testing.T) {
-				sc, err := netem.ReorderScenarioByName(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sched := sim.NewScheduler()
-				d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-				d.Bottleneck.SetReorderModel(sc.New(sim.NewRand(7)))
-				c := New(sched)
-				c.AttachNetwork(d.Net)
-				env := workload.Env{
-					Net:      d.Net,
-					FlowBase: 50_000,
-					Paths: []workload.Path{{
-						Src: d.Src(0), Dst: d.Dst(0),
-						Fwd: routing.Static{Path: d.FwdPath(0)},
-						Rev: routing.Static{Path: d.RevPath(0)},
-					}},
-					RNG:    sim.NewRand(21),
+			sched := sim.NewScheduler()
+			d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
+			d.Bottleneck.SetReorderModel(sc.New(sim.NewRand(7)))
+			c := New(sched)
+			c.AttachNetwork(d.Net)
+			src := workload.NewOnOffSource(d.Net, 50_000, d.Src(0), d.Dst(0),
+				routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)},
+				workload.OnOffConfig{
+					MeanSizePkts: 10, MeanThink: 100 * time.Millisecond,
 					OnFlow: func(f *tcp.Flow, proto string) { c.AttachFlow(f, proto) },
-				}
-				var tl *faults.Timeline
-				if shape == "handoff" {
-					tl = faults.NewTimeline()
-					env.Timeline = tl
-				}
-				spec, err := workload.ShapeByName(shape)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gen, err := spec.Build(env, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gen.Start(0)
-				if tl != nil {
-					tl.Install(sched)
-				}
-				sched.RunUntil(sim.Time(12 * time.Second))
-				c.Finish()
-				if c.Total() != 0 {
-					t.Fatalf("shape %s under %s tripped invariants: %v", shape, model, c.Err())
-				}
-				if st := gen.Stats(); st.BytesDelivered == 0 {
-					t.Fatalf("shape %s delivered nothing under %s; test is vacuous", shape, model)
-				}
-			})
-		}
+				}, sim.NewRand(21))
+			src.Start(0)
+			sched.RunUntil(sim.Time(12 * time.Second))
+			c.Finish()
+			if c.Total() != 0 {
+				t.Fatalf("onoff under %s tripped invariants: %v", model, c.Err())
+			}
+			if src.BytesDelivered == 0 {
+				t.Fatalf("onoff delivered nothing under %s; test is vacuous", model)
+			}
+		})
 	}
 }

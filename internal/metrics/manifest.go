@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -67,9 +66,8 @@ type Manifest struct {
 	Artifacts []string `json:"artifacts,omitempty"`
 
 	// Final instrument values at the end of the run.
-	Counters   map[string]uint64            `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]uint64  `json:"counters,omitempty"`
+	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }
 
 // FillRates derives EventsPerSec from EventsProcessed and WallSeconds.
@@ -93,12 +91,6 @@ func (m *Manifest) AddSnapshot(s Snapshot) {
 	for k, v := range s.Gauges {
 		m.Gauges[k] = v
 	}
-	if len(s.Histograms) > 0 && m.Histograms == nil {
-		m.Histograms = make(map[string]HistogramSnapshot, len(s.Histograms))
-	}
-	for k, v := range s.Histograms {
-		m.Histograms[k] = v
-	}
 }
 
 // AddSampler records the sampler's cadence and series inventory; file is
@@ -120,23 +112,7 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return enc.Encode(m)
 }
 
-// WriteFile writes the manifest to path, creating parent directories.
-func (m *Manifest) WriteFile(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadManifest loads a manifest written by WriteFile.
+// ReadManifest loads a manifest written by WriteJSON.
 func ReadManifest(path string) (*Manifest, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package metrics is the simulation-wide observability subsystem: a
-// registry of named counter/gauge/histogram instruments, a virtual-clock
+// registry of named counter and gauge instruments, a virtual-clock
 // Sampler that turns gauges into time series (cwnd trajectories, queue
 // occupancy, RTO estimates — the raw material of the paper's Figures 2-6),
-// and machine-readable exporters (TSV/JSON series dumps plus a per-run
+// and machine-readable exporters (TSV series dumps plus a per-run JSON
 // Manifest) so experiment results can be tracked across revisions.
 //
 // Instruments are plain structs with no internal synchronization by
@@ -15,12 +15,11 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
 // Registry owns a flat namespace of instruments. Instruments are created
-// through the registry (Counter, Gauge, GaugeFunc, Histogram) and looked
+// through the registry (Counter, Gauge, GaugeFunc) and looked
 // up by name; asking twice for the same name returns the same instrument,
 // and asking for an existing name with a different kind panics — two
 // subsystems silently sharing one instrument under different types is a
@@ -96,33 +95,11 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use with
-// the given ascending bucket upper bounds. Values above the last bound
-// land in an implicit overflow bucket.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	return get(r, name, func() *Histogram {
-		for i := 1; i < len(bounds); i++ {
-			if bounds[i] <= bounds[i-1] {
-				panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", name))
-			}
-		}
-		return &Histogram{reg: r, bounds: append([]float64(nil), bounds...), counts: make([]uint64, len(bounds)+1)}
-	})
-}
-
-// Names returns the instrument names in registration order.
-func (r *Registry) Names() []string {
-	r.lock()
-	defer r.unlock()
-	return append([]string(nil), r.names...)
-}
-
 // Snapshot captures every instrument's current value, keyed by name.
 // Maps marshal to JSON with sorted keys, so snapshots are deterministic.
 type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
+	Counters map[string]uint64  `json:"counters,omitempty"`
+	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }
 
 // Snapshot reads every instrument once.
@@ -148,11 +125,6 @@ func (r *Registry) Snapshot() Snapshot {
 				s.Gauges = make(map[string]float64)
 			}
 			s.Gauges[name] = in.Value()
-		case *Histogram:
-			if s.Histograms == nil {
-				s.Histograms = make(map[string]HistogramSnapshot)
-			}
-			s.Histograms[name] = in.Snapshot()
 		}
 	}
 	return s
@@ -181,26 +153,12 @@ func (c *Counter) Value() uint64 {
 	return c.v
 }
 
-// Gauge is an instantaneous value: either set explicitly (Set/Add) or
-// pulled from a source function registered with GaugeFunc.
+// Gauge is an instantaneous value pulled from the source function
+// registered with GaugeFunc; a gauge without one reads its stored value.
 type Gauge struct {
 	reg *Registry
 	v   float64
 	fn  func() float64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.reg.lock()
-	g.v = v
-	g.reg.unlock()
-}
-
-// Add adjusts the stored value by d.
-func (g *Gauge) Add(d float64) {
-	g.reg.lock()
-	g.v += d
-	g.reg.unlock()
 }
 
 // Value returns the current value, consulting the source function when
@@ -214,96 +172,4 @@ func (g *Gauge) Value() float64 {
 		return fn()
 	}
 	return v
-}
-
-// Histogram accumulates a value distribution in fixed buckets.
-type Histogram struct {
-	reg    *Registry
-	bounds []float64 // ascending upper bounds
-	counts []uint64  // len(bounds)+1; last is overflow
-	sum    float64
-	count  uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.reg.lock()
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.reg.unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.reg.lock()
-	defer h.reg.unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.reg.lock()
-	defer h.reg.unlock()
-	return h.sum
-}
-
-// Mean returns the observation mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.reg.lock()
-	defer h.reg.unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile: the bucket
-// bound below which at least q of the mass lies. q outside [0,1] is
-// clamped; the overflow bucket reports the largest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.reg.lock()
-	defer h.reg.unlock()
-	if h.count == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		cum += float64(c)
-		if cum >= target {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			return h.bounds[i]
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// HistogramSnapshot is the exported form of a histogram.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"` // len(Bounds)+1; last is overflow
-	Sum    float64   `json:"sum"`
-	Count  uint64    `json:"count"`
-}
-
-// Snapshot copies the histogram state.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.reg.lock()
-	defer h.reg.unlock()
-	return HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-		Count:  h.count,
-	}
 }

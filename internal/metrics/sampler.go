@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -35,7 +34,6 @@ type Sampler struct {
 
 	timer   *sim.Timer
 	started bool
-	ticks   uint64
 	stopped bool
 }
 
@@ -59,9 +57,6 @@ func NewSampler(sched *sim.Scheduler, interval time.Duration, seriesCap int) *Sa
 // Interval returns the sampling cadence.
 func (sp *Sampler) Interval() time.Duration { return sp.interval }
 
-// Ticks returns the number of sampling rounds executed.
-func (sp *Sampler) Ticks() uint64 { return sp.ticks }
-
 // Watch registers a source function under a series name and returns the
 // series. Sources registered after Start are picked up from the next
 // tick. Watching the same name twice panics — two writers interleaving
@@ -79,11 +74,6 @@ func (sp *Sampler) Watch(name string, fn func() float64) *Series {
 	sp.series = append(sp.series, s)
 	sp.sources = append(sp.sources, fn)
 	return s
-}
-
-// WatchGauge samples a registry gauge under the given series name.
-func (sp *Sampler) WatchGauge(name string, g *Gauge) *Series {
-	return sp.Watch(name, g.Value)
 }
 
 // Start schedules the first sampling tick at virtual time at (which must
@@ -111,23 +101,12 @@ func (sp *Sampler) tick() {
 	for i, s := range sp.series {
 		s.Append(now, sp.sources[i]())
 	}
-	sp.ticks++
 	sp.timer.ResetAfter(sp.interval)
 }
 
 // Series returns the watched series in registration order.
 func (sp *Sampler) Series() []*Series {
 	return append([]*Series(nil), sp.series...)
-}
-
-// Find returns the named series, or nil.
-func (sp *Sampler) Find(name string) *Series {
-	for _, s := range sp.series {
-		if s.name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // WriteTSV dumps every series in long format: "time_s<TAB>series<TAB>value",
@@ -143,23 +122,4 @@ func (sp *Sampler) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// seriesJSON is the exported form of one series.
-type seriesJSON struct {
-	Name    string  `json:"name"`
-	Dropped uint64  `json:"dropped,omitempty"`
-	Points  []Point `json:"points"`
-}
-
-// WriteJSON dumps every series as one JSON document, series in
-// registration order.
-func (sp *Sampler) WriteJSON(w io.Writer) error {
-	out := make([]seriesJSON, len(sp.series))
-	for i, s := range sp.series {
-		out[i] = seriesJSON{Name: s.name, Dropped: s.drop, Points: s.Points()}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -13,11 +13,7 @@ func TestSamplerCadence(t *testing.T) {
 	sched := sim.NewScheduler()
 	sp := NewSampler(sched, 100*time.Millisecond, 64)
 	var v float64
-	s := sp.WatchGauge("v", func() *Gauge {
-		r := New()
-		g := r.GaugeFunc("v", func() float64 { return v })
-		return g
-	}())
+	s := sp.Watch("v", New().GaugeFunc("v", func() float64 { return v }).Value)
 	sp.Start(0)
 
 	// Drive the source from the simulation itself.
@@ -28,9 +24,6 @@ func TestSamplerCadence(t *testing.T) {
 	sched.RunUntil(450 * time.Millisecond)
 
 	// Ticks at 0, 100, 200, 300, 400 ms.
-	if sp.Ticks() != 5 {
-		t.Fatalf("ticks = %d, want 5", sp.Ticks())
-	}
 	pts := s.Points()
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
@@ -46,8 +39,8 @@ func TestSamplerCadence(t *testing.T) {
 
 	sp.Stop()
 	sched.RunUntil(time.Second)
-	if sp.Ticks() != 5 {
-		t.Errorf("ticks after Stop = %d, want 5", sp.Ticks())
+	if s.Len() != 5 {
+		t.Errorf("points after Stop = %d, want 5", s.Len())
 	}
 }
 
@@ -63,8 +56,8 @@ func TestSamplerExports(t *testing.T) {
 	sp.Start(0)
 	sched.RunUntil(250 * time.Millisecond)
 
-	if sp.Find("b") == nil || sp.Find("nope") != nil {
-		t.Error("Find misbehaves")
+	if ss := sp.Series(); len(ss) != 2 || ss[1].Name() != "b" {
+		t.Error("Series misbehaves")
 	}
 
 	var tsv bytes.Buffer
@@ -78,16 +71,6 @@ func TestSamplerExports(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[0], "0.000000\ta\t1") {
 		t.Errorf("line 0 = %q", lines[0])
-	}
-
-	var js bytes.Buffer
-	if err := sp.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"name": "a"`, `"name": "b"`, `"points"`} {
-		if !strings.Contains(js.String(), want) {
-			t.Errorf("JSON missing %s:\n%s", want, js.String())
-		}
 	}
 
 	m := &Manifest{Name: "t"}

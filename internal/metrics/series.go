@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"tcppr/internal/sim"
 )
@@ -16,7 +14,7 @@ type Point struct {
 
 // Series is a preallocated ring buffer of samples. When the buffer is
 // full the oldest point is overwritten, so a series always holds the most
-// recent Cap() samples; Dropped counts the overwrites. Appends never
+// recent capacity samples; Dropped counts the overwrites. Appends never
 // allocate after construction, keeping the sampler's per-tick cost flat.
 type Series struct {
 	name string
@@ -36,9 +34,6 @@ func NewSeries(name string, capacity int) *Series {
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
-
-// Cap returns the buffer capacity.
-func (s *Series) Cap() int { return len(s.buf) }
 
 // Len returns the number of retained points.
 func (s *Series) Len() int { return s.n }
@@ -64,32 +59,4 @@ func (s *Series) At(i int) Point {
 		panic(fmt.Sprintf("metrics: series %q index %d out of range [0,%d)", s.name, i, s.n))
 	}
 	return s.buf[(s.head+i)%len(s.buf)]
-}
-
-// Points returns a copy of the retained points in time order.
-func (s *Series) Points() []Point {
-	out := make([]Point, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.At(i)
-	}
-	return out
-}
-
-// Last returns the most recent point (zero Point when empty).
-func (s *Series) Last() Point {
-	if s.n == 0 {
-		return Point{}
-	}
-	return s.At(s.n - 1)
-}
-
-// WriteTSV dumps the series as "time_s<TAB>value" lines.
-func (s *Series) WriteTSV(w io.Writer) error {
-	for i := 0; i < s.n; i++ {
-		p := s.At(i)
-		if _, err := fmt.Fprintf(w, "%.6f\t%g\n", time.Duration(p.T).Seconds(), p.V); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 
 // Effect is one packet's impairment verdict: how much extra propagation
 // delay it picks up and whether it arrives corrupted or duplicated.
-// Effects compose by adding delays and OR-ing the flags.
 type Effect struct {
 	// ExtraDelay is added to the link's propagation delay for this packet
 	// (and its duplicate, if any). Must be non-negative.
@@ -21,13 +20,6 @@ type Effect struct {
 	Duplicate bool
 }
 
-// merge folds another effect into this one.
-func (e *Effect) merge(o Effect) {
-	e.ExtraDelay += o.ExtraDelay
-	e.Corrupt = e.Corrupt || o.Corrupt
-	e.Duplicate = e.Duplicate || o.Duplicate
-}
-
 // Impairment is the pluggable per-packet impairment process a link
 // consults once per accepted packet, in arrival order, at enqueue time —
 // the same seam contract as LossModel. Implementations own their RNG
@@ -36,10 +28,7 @@ func (e *Effect) merge(o Effect) {
 // deterministic; degenerate configurations (probability 0, zero jitter)
 // must not consult the RNG at all.
 //
-// The shipped implementations are Jitter, Corruption, Duplication, and
-// the composing Stack; Stack{Jitter, Corruption, Duplication} is the
-// historical draw order of the pre-interface link (pinned by
-// TestImpairmentStackMatchesLegacySetters).
+// The shipped implementations are Jitter, Corruption and Duplication.
 type Impairment interface {
 	// Apply returns the impairment effect for a packet of the given wire
 	// size. Called exactly once per accepted packet, in arrival order.
@@ -126,18 +115,4 @@ func NewDuplication(prob float64, rng *rand.Rand) *Duplication {
 // Apply implements Impairment.
 func (d *Duplication) Apply(int) Effect {
 	return Effect{Duplicate: d.Prob > 0 && d.RNG.Float64() < d.Prob}
-}
-
-// Stack composes impairments in order: delays add, corrupt/duplicate
-// flags OR. Each member consumes its own RNG stream, so stacking does
-// not perturb the draws an impairment would make alone.
-type Stack []Impairment
-
-// Apply implements Impairment.
-func (s Stack) Apply(size int) Effect {
-	var e Effect
-	for _, m := range s {
-		e.merge(m.Apply(size))
-	}
-	return e
 }

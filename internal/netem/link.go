@@ -193,13 +193,10 @@ func (l *Link) LossModel() LossModel { return l.loss }
 
 // SetImpairment installs the link's per-packet impairment process (nil
 // disables): jitter, corruption, and duplication are the shipped
-// building blocks, composable with Stack. The model is consulted once
+// implementations. The model is consulted once
 // per accepted packet, in arrival order, immediately after queue
 // admission.
 func (l *Link) SetImpairment(m Impairment) { l.impair = m }
-
-// Impairment returns the installed impairment process, or nil.
-func (l *Link) Impairment() Impairment { return l.impair }
 
 // SetReorderModel installs the link's packet-reordering process (nil
 // disables) and binds it to this link as its ReleaseSink. Swapping

@@ -92,10 +92,6 @@ func (n *Network) release(p *Packet) {
 	n.free = append(n.free, p)
 }
 
-// PacketFreeListLen returns the number of recycled packets currently
-// available for reuse; tests use it to prove the pool cycles.
-func (n *Network) PacketFreeListLen() int { return len(n.free) }
-
 // newTraceID issues a fresh causal trace ID (link duplication uses it to
 // give the extra copy an identity of its own).
 func (n *Network) newTraceID() uint64 {
@@ -190,16 +186,6 @@ func (n *Network) TotalDrops() uint64 {
 	for _, l := range n.links {
 		st := l.Stats()
 		d += st.Dropped + st.REDDropped
-	}
-	return d
-}
-
-// TotalDelivered sums per-link deliveries across every link (a packet
-// crossing k links counts k times).
-func (n *Network) TotalDelivered() uint64 {
-	var d uint64
-	for _, l := range n.links {
-		d += l.Stats().Delivered
 	}
 	return d
 }

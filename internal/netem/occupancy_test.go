@@ -189,9 +189,11 @@ func runOccupancy(t testing.TB, pr occProgram) (l1, l2 *Link) {
 
 	s.RunUntil(pr.pause)
 	obs.checkAll(fmt.Sprintf("after RunUntil(%v)", pr.pause))
-	fired := 0
-	s.RunUntilCond(time.Hour, func() bool { fired++; return fired >= pr.stopAfter })
-	obs.checkAll(fmt.Sprintf("after RunUntilCond stopped %d events on", fired))
+	stepped := 0
+	for stepped+1 < pr.stopAfter && s.Step() {
+		stepped++
+	}
+	obs.checkAll(fmt.Sprintf("after stepping %d events on", stepped))
 	s.Run()
 	obs.checkAll("after Run")
 	for _, l := range net.Links() {

@@ -112,9 +112,6 @@ func NewSwapDistance(probs []float64, maxHold time.Duration, rng *rand.Rand) *Sw
 	return m
 }
 
-// MaxDisplacement returns the model's configured displacement bound.
-func (m *SwapDistance) MaxDisplacement() int { return len(m.probs) }
-
 // Bind implements ReorderModel.
 func (m *SwapDistance) Bind(sink ReleaseSink) { m.sink = sink }
 

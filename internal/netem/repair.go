@@ -265,14 +265,8 @@ func NewRepairBox(cfg RepairConfig) *RepairBox {
 	return b
 }
 
-// Config returns the box's effective (default-filled) configuration.
-func (b *RepairBox) Config() RepairConfig { return b.cfg }
-
 // Stats returns a snapshot of the box's counters.
 func (b *RepairBox) Stats() RepairStats { return b.stats }
-
-// HeldNow returns the current box-wide custody count.
-func (b *RepairBox) HeldNow() int { return b.heldNow }
 
 // FlowCount returns the current flow-table residency.
 func (b *RepairBox) FlowCount() int { return len(b.flows) }

@@ -110,7 +110,7 @@ func (r CityResult) SimRate() float64 {
 const onOffFlowStride = 1 << 21
 
 // BuildCity instantiates the city across shards and wires its workload.
-// Exposed separately from RunCity so benchmarks can exclude construction
+// Construction is separate from Engine.Run so benchmarks can exclude it
 // from the timed region.
 func BuildCity(cfg CityRun) (*Engine, *CityState) {
 	cfg.fill()
@@ -213,7 +213,7 @@ func cityAccessPath(sh *Shard, d, from, to int) []*netem.Link {
 	return []*netem.Link{a, b}
 }
 
-// CityState carries the workload handles RunCity reads after the run.
+// CityState carries the workload handles read after the run.
 type CityState struct {
 	cfg      CityRun
 	eng      *Engine
@@ -246,13 +246,4 @@ func (st *CityState) Finish(wall time.Duration) CityResult {
 		res.Violations += uint64(c.Total())
 	}
 	return res
-}
-
-// RunCity builds and runs one city cell, timing the run loop.
-func RunCity(cfg CityRun) CityResult {
-	cfg.fill()
-	eng, st := BuildCity(cfg)
-	t0 := time.Now()
-	eng.Run(sim.Time(cfg.Horizon))
-	return st.Finish(time.Since(t0))
 }

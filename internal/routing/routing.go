@@ -50,7 +50,6 @@ func (s Static) Route() []*netem.Link { return s.Path }
 // indistinguishable from 1 (single-path routing).
 type Epsilon struct {
 	paths   [][]*netem.Link
-	probs   []float64 // per-path, normalized
 	weights []float64 // cumulative, normalized to [0,1]
 	rng     *rand.Rand
 	eps     float64
@@ -70,10 +69,10 @@ func NewEpsilon(paths [][]*netem.Link, eps float64, rng *rand.Rand) *Epsilon {
 		panic(fmt.Sprintf("routing: negative epsilon %v", eps))
 	}
 	e := &Epsilon{paths: paths, rng: rng, eps: eps}
-	e.probs = pathProbabilities(paths, eps)
-	e.weights = make([]float64, len(e.probs))
+	probs := pathProbabilities(paths, eps)
+	e.weights = make([]float64, len(probs))
 	acc := 0.0
-	for i, p := range e.probs {
+	for i, p := range probs {
 		acc += p
 		e.weights[i] = acc
 	}
@@ -118,15 +117,6 @@ func (e *Epsilon) Route() []*netem.Link {
 		i = len(e.paths) - 1
 	}
 	return e.paths[i]
-}
-
-// Probabilities returns the per-path selection probabilities, for tests and
-// experiment logs. The values come straight from the normalized Gibbs
-// weights — differencing the cumulative array instead would re-introduce
-// rounding noise that breaks the distribution's delay monotonicity in the
-// equal-weight (ε = 0) corner.
-func (e *Epsilon) Probabilities() []float64 {
-	return append([]float64(nil), e.probs...)
 }
 
 // Flap alternates deterministically among paths with a fixed dwell period,

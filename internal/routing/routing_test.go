@@ -154,46 +154,3 @@ func TestFlapRouterAlternates(t *testing.T) {
 	})
 	s.Run()
 }
-
-func TestDijkstraFindsMinDelayPath(t *testing.T) {
-	_, net, paths := threePathNet(t)
-	got := ShortestPath(net, net.Node("a"), net.Node("z"))
-	if netem.PathNames(got) != netem.PathNames(paths[0]) {
-		t.Errorf("shortest path = %s, want %s", netem.PathNames(got), netem.PathNames(paths[0]))
-	}
-}
-
-func TestDijkstraPrefersLowDelayOverFewHops(t *testing.T) {
-	s := sim.NewScheduler()
-	net := netem.NewNetwork(s)
-	bw := int64(10e6)
-	// Direct link is slow (100 ms); two-hop detour totals 20 ms.
-	net.AddLink("a", "z", bw, 100*time.Millisecond, 10)
-	net.AddLink("a", "m", bw, 10*time.Millisecond, 10)
-	net.AddLink("m", "z", bw, 10*time.Millisecond, 10)
-	got := ShortestPath(net, net.Node("a"), net.Node("z"))
-	if netem.PathNames(got) != "a->m->z" {
-		t.Errorf("shortest path = %s, want a->m->z", netem.PathNames(got))
-	}
-}
-
-func TestDijkstraUnreachable(t *testing.T) {
-	s := sim.NewScheduler()
-	net := netem.NewNetwork(s)
-	net.AddLink("a", "b", 1000, 0, 10)
-	if got := ShortestPath(net, net.Node("a"), net.Node("zzz")); got != nil {
-		t.Errorf("unreachable destination returned %v", netem.PathNames(got))
-	}
-	// No path back along a unidirectional link either.
-	if got := ShortestPath(net, net.Node("b"), net.Node("a")); got != nil {
-		t.Errorf("reverse of unidirectional link returned %v", netem.PathNames(got))
-	}
-}
-
-func TestReverse(t *testing.T) {
-	_, net, paths := threePathNet(t)
-	rev := Reverse(net, paths[2])
-	if got := netem.PathNames(rev); got != "z->n2->n1->a" {
-		t.Errorf("Reverse = %s, want z->n2->n1->a", got)
-	}
-}

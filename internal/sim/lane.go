@@ -142,15 +142,6 @@ func (l *Lane) Release() {
 	}
 }
 
-// Pending reports whether the occurrence h refers to is still scheduled to
-// fire.
-func (l *Lane) Pending(h LaneHandle) bool {
-	if h.e != nil {
-		return Handle{e: h.e, gen: h.gen}.Pending()
-	}
-	return l.item(h.gen-1) != nil
-}
-
 // item returns the waiting occurrence at position pos, or nil when it has
 // fired, was cancelled, or never existed.
 func (l *Lane) item(pos uint64) *laneItem {

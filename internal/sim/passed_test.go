@@ -72,35 +72,27 @@ func TestPassedAfterRun(t *testing.T) {
 	wantPassed(t, s, "after Run", 6, inside, false)
 }
 
-// TestPassedAfterRunUntilCond: a condition met between two events of one
-// timestamp stops the clock mid-timestamp — a key between theirs has not
-// passed — while running into the limit drains it.
-func TestPassedAfterRunUntilCond(t *testing.T) {
+// TestPassedAfterStep: Step stops the clock at the event it fired, so after
+// the first of two events of one timestamp a key between theirs has not
+// passed, while a RunUntil past them drains it.
+func TestPassedAfterStep(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
 	s.At(5, func() { fired++ })
 	between := s.Stamp()
 	s.At(5, func() { fired++ })
 	s.At(9, func() { fired++ })
-	if !s.RunUntilCond(20, func() bool { return fired == 1 }) {
-		t.Fatal("condition not met")
+	if !s.Step() || fired != 1 {
+		t.Fatalf("Step fired %d events, want 1", fired)
 	}
 	wantPassed(t, s, "stopped mid-timestamp", 5, between, false)
 	wantPassed(t, s, "stopped mid-timestamp", 4, between, true)
-	if s.RunUntilCond(7, func() bool { return false }) {
-		t.Fatal("condition met")
-	}
+	s.RunUntil(7)
 	if fired != 2 || s.Now() != 7 {
 		t.Fatalf("fired %d, now %v, want 2 and 7", fired, s.Now())
 	}
-	wantPassed(t, s, "stopped by the limit", 5, between, true)
-	wantPassed(t, s, "stopped by the limit", 7, s.Stamp()-1, true)
-	wantPassed(t, s, "stopped by the limit", 7, s.Stamp(), false)
-	wantPassed(t, s, "stopped by the limit", 9, between, false)
-	// A limit behind the clock, with the event at 9 still waiting.
-	if s.RunUntilCond(6, func() bool { return false }) || s.Now() != 7 {
-		t.Fatalf("RunUntilCond(6) moved the clock to %v", s.Now())
-	}
+	wantPassed(t, s, "drained to 7", 5, between, true)
+	wantPassed(t, s, "drained to 7", 9, between, false)
 }
 
 // TestPassedInsideARearmedTimer: a timer pushed out in place keeps its

@@ -239,10 +239,6 @@ func (s *Scheduler) Len() int { return s.live }
 // run-length accounting in benchmarks and runaway-simulation guards.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// FreeListLen returns the current size of the event free list (recycled
-// events awaiting reuse). It exists for pool tests and capacity planning.
-func (s *Scheduler) FreeListLen() int { return len(s.free) }
-
 // RingPoolLen returns how many lane rings sit in the scheduler's pool,
 // handed back by Lane.Release or outgrown. Like FreeListLen it exists for
 // pool tests and capacity planning.
@@ -453,31 +449,6 @@ func (s *Scheduler) RunUntil(t Time) {
 		s.fire(e)
 	}
 	s.drained(t)
-}
-
-// RunUntilCond executes events until done() reports true, the clock would
-// pass limit, or the queue empties — whichever comes first. done is
-// evaluated after every event, so the clock stops at the exact event that
-// satisfied it. It returns true iff done was satisfied. Tests that wait
-// for a condition with an unknown completion time (a transfer finishing
-// after a blackout, say) use this instead of guessing a RunUntil horizon;
-// the limit bounds livelocks, e.g. a sender retransmitting forever without
-// progressing.
-func (s *Scheduler) RunUntilCond(limit Time, done func() bool) bool {
-	if done() {
-		return true
-	}
-	for {
-		e := s.peek()
-		if e == nil || e.at > limit {
-			s.drained(limit)
-			return false
-		}
-		s.fire(e)
-		if done() {
-			return true
-		}
-	}
 }
 
 // peek returns the next event to fire without executing it, leaving its

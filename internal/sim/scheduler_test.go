@@ -110,39 +110,6 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
-func TestSchedulerRunUntilCond(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i)*time.Second, func() { count++ })
-	}
-	// Satisfied mid-queue: stops at the exact event, clock at its time.
-	if !s.RunUntilCond(time.Minute, func() bool { return count >= 3 }) {
-		t.Fatal("RunUntilCond returned false though the condition became true")
-	}
-	if count != 3 || s.Now() != 3*time.Second {
-		t.Errorf("stopped at count=%d now=%v, want 3 at 3s", count, s.Now())
-	}
-	// Already satisfied: runs nothing.
-	if !s.RunUntilCond(time.Minute, func() bool { return true }) || count != 3 {
-		t.Error("an already-true condition must not execute events")
-	}
-	// Never satisfied: stops at the limit with the clock advanced to it.
-	if s.RunUntilCond(5*time.Second, func() bool { return false }) {
-		t.Error("RunUntilCond returned true for an unsatisfiable condition")
-	}
-	if count != 5 || s.Now() != 5*time.Second {
-		t.Errorf("limit stop at count=%d now=%v, want 5 at 5s", count, s.Now())
-	}
-	// Queue exhausted below the limit: clock still lands on the limit.
-	if s.RunUntilCond(time.Minute, func() bool { return false }) {
-		t.Error("RunUntilCond returned true on queue exhaustion")
-	}
-	if count != 10 || s.Now() != time.Minute {
-		t.Errorf("exhaustion stop at count=%d now=%v, want 10 at 1m", count, s.Now())
-	}
-}
-
 func TestSchedulerRunUntilBoundaryInclusive(t *testing.T) {
 	s := NewScheduler()
 	ran := false

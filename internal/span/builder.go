@@ -29,14 +29,6 @@ func (b *TraceBuilder) Process(pid int, name string) {
 	})
 }
 
-// Thread names a thread (one lane inside a process group).
-func (b *TraceBuilder) Thread(pid, tid int, name string) {
-	b.events = append(b.events, chromeEvent{
-		Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": name},
-	})
-}
-
 // Complete records a complete ("X") span covering [from, to].
 func (b *TraceBuilder) Complete(pid, tid int, name string, from, to sim.Time, args map[string]any) {
 	dur := to - from
@@ -68,9 +60,6 @@ func (b *TraceBuilder) Counter(pid int, name string, at sim.Time, values map[str
 		Name: name, Ph: "C", Ts: us(at), Pid: pid, Tid: 0, Args: values,
 	})
 }
-
-// Len returns the number of accumulated events, metadata included.
-func (b *TraceBuilder) Len() int { return len(b.events) }
 
 // Write renders the accumulated events as Chrome trace-event JSON, sorted
 // like WriteChromeTrace: metadata first, then by timestamp.

@@ -117,37 +117,3 @@ func ConvertEndpointTSV(r io.Reader, w io.Writer, name string) error {
 	sortChromeEvents(out)
 	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"})
 }
-
-// ExtractEndpointTSV reads a Chrome trace produced by ConvertEndpointTSV
-// and reconstructs the original TSV lines (no comments) from the instant
-// events' args — the round-trip proof that the conversion loses nothing.
-func ExtractEndpointTSV(r io.Reader, w io.Writer) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	var wrapper struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &wrapper); err != nil {
-		return err
-	}
-	for _, e := range wrapper.TraceEvents {
-		if e.Ph != "i" || e.Cat != "endpoint" {
-			continue
-		}
-		t, _ := e.Args["t"].(string)
-		kind, _ := e.Args["kind"].(string)
-		seq, sok := e.Args["seq"].(float64)
-		cum, cok := e.Args["cum"].(float64)
-		retx, rok := e.Args["retx"].(float64)
-		if t == "" || kind == "" || !sok || !cok || !rok {
-			return fmt.Errorf("span: instant %q lacks round-trip args", e.Name)
-		}
-		if _, err := fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\n",
-			t, kind, int64(seq), int64(cum), int64(retx)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -69,10 +69,10 @@ const DefaultMaxDumps = 5
 // FlightRecorder watches a Collector's ring and dumps its tail — plus the
 // causal trail of the implicated packet — when something goes wrong:
 // an invariant violation (ArmChecker), an applied fault (ArmTimeline,
-// optional), or a panic (DumpOnPanic). The ring keeps recording between
-// dumps; each dump is a snapshot of the last TailLen events at the moment
-// of the trigger, which is exactly when the implicated packet's journey is
-// still retained.
+// optional), or a forced Dump (runobs forces one on a panic). The ring
+// keeps recording between dumps; each dump is a snapshot of the last
+// TailLen events at the moment of the trigger, which is exactly when the
+// implicated packet's journey is still retained.
 type FlightRecorder struct {
 	c *Collector
 	w io.Writer
@@ -81,7 +81,7 @@ type FlightRecorder struct {
 	// the whole ring).
 	TailLen int
 	// MaxDumps caps automatic dumps (default DefaultMaxDumps); forced
-	// dumps (Dump, DumpOnPanic) ignore the cap.
+	// dumps (Dump) ignore the cap.
 	MaxDumps int
 
 	// DumpOnFault makes ArmTimeline dump on every applied fault instead of
@@ -96,9 +96,6 @@ type FlightRecorder struct {
 func NewFlightRecorder(c *Collector, w io.Writer) *FlightRecorder {
 	return &FlightRecorder{c: c, w: w, MaxDumps: DefaultMaxDumps}
 }
-
-// Collector returns the wrapped collector.
-func (fr *FlightRecorder) Collector() *Collector { return fr.c }
 
 // Dumps returns how many dumps were written.
 func (fr *FlightRecorder) Dumps() int { return fr.dumps }
@@ -161,17 +158,6 @@ func (fr *FlightRecorder) ArmTimeline(tl *faults.Timeline) {
 		if fr.DumpOnFault && !fr.capped() {
 			fr.dump("fault applied: "+string(ev.Kind)+" "+ev.Link+" ("+ev.Note+")", 0)
 		}
-	}
-}
-
-// DumpOnPanic is a defer helper for CLIs and harnesses: if the run is
-// panicking it writes a forced dump (ignoring MaxDumps) and re-panics.
-//
-//	defer fr.DumpOnPanic()
-func (fr *FlightRecorder) DumpOnPanic() {
-	if r := recover(); r != nil {
-		fr.dumpForced(fmt.Sprintf("panic: %v", r), 0)
-		panic(r)
 	}
 }
 

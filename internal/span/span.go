@@ -232,9 +232,6 @@ func (c *Collector) Overwritten() uint64 {
 	return c.n - uint64(len(c.ring))
 }
 
-// Cap returns the ring capacity.
-func (c *Collector) Cap() int { return len(c.ring) }
-
 // Events returns the retained events in chronological order (a copy).
 func (c *Collector) Events() []Event {
 	k := c.n

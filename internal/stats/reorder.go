@@ -88,14 +88,6 @@ func (m *ReorderMeter) Footrule() float64 {
 	return float64(m.sumExtent) / float64(m.arrivals)
 }
 
-// MeanLateExtent returns the mean displacement among late arrivals only.
-func (m *ReorderMeter) MeanLateExtent() float64 {
-	if m.late == 0 {
-		return 0
-	}
-	return float64(m.sumExtent) / float64(m.late)
-}
-
 // Histogram returns a copy of the displacement distribution:
 // Histogram()[d-1] arrivals were late by exactly d positions, for d up
 // to the tracked cap.

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -76,20 +75,6 @@ func CoV(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// Median returns the median (0 for an empty slice).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // MinMax returns the smallest and largest elements (0,0 for empty).

@@ -113,15 +113,6 @@ func (s *IntervalSet) DropBelow(seq int64) {
 // Clear empties the set.
 func (s *IntervalSet) Clear() { s.blocks = s.blocks[:0] }
 
-// Len returns the total number of sequences in the set.
-func (s *IntervalSet) Len() int64 {
-	var n int64
-	for _, b := range s.blocks {
-		n += b.Len()
-	}
-	return n
-}
-
 // Blocks returns the underlying blocks (sorted, disjoint). The caller must
 // not mutate the result.
 func (s *IntervalSet) Blocks() []SackBlock { return s.blocks }
@@ -132,12 +123,4 @@ func (s *IntervalSet) Min() (seq int64, ok bool) {
 		return 0, false
 	}
 	return s.blocks[0].Start, true
-}
-
-// Max returns the largest sequence in the set; ok is false when empty.
-func (s *IntervalSet) Max() (seq int64, ok bool) {
-	if len(s.blocks) == 0 {
-		return 0, false
-	}
-	return s.blocks[len(s.blocks)-1].End - 1, true
 }

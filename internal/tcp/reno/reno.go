@@ -168,9 +168,6 @@ func (s *Sender) Ssthresh() float64 { return s.ssthresh }
 // Una returns the lowest unacknowledged sequence number.
 func (s *Sender) Una() int64 { return s.una }
 
-// NextSeq returns the next new sequence number to be sent.
-func (s *Sender) NextSeq() int64 { return s.nextSeq }
-
 // InRecovery reports whether the sender is in fast recovery.
 func (s *Sender) InRecovery() bool { return s.inRecovery }
 

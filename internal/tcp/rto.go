@@ -107,9 +107,6 @@ func (e *RTOEstimator) Min() time.Duration { return e.minRTO }
 // Max returns the estimator's upper RTO bound (64 s by default).
 func (e *RTOEstimator) Max() time.Duration { return e.maxRTO }
 
-// HasSample reports whether at least one RTT sample has been absorbed.
-func (e *RTOEstimator) HasSample() bool { return e.hasRTT }
-
 // SendTimes tracks per-sequence transmission times so senders can take RTT
 // samples under Karn's rule. The zero value is ready to use.
 type SendTimes struct {
@@ -149,15 +146,6 @@ func (t *SendTimes) Sample(seq int64, now sim.Time) (rtt time.Duration, ok bool)
 	}
 	return now - sent, true
 }
-
-// SentAt returns the last transmission time for seq.
-func (t *SendTimes) SentAt(seq int64) (sim.Time, bool) {
-	at, ok := t.times[seq]
-	return at, ok
-}
-
-// WasRetx reports whether seq was ever retransmitted.
-func (t *SendTimes) WasRetx(seq int64) bool { return t.retx[seq] }
 
 // Forget drops every record below seq (they are cumulatively acked).
 func (t *SendTimes) Forget(below int64) {

@@ -146,15 +146,8 @@ func (s *Sender) Ssthresh() float64 { return s.ssthresh }
 // Una returns the lowest unacknowledged sequence.
 func (s *Sender) Una() int64 { return s.una }
 
-// NextSeq returns the next new sequence to be sent.
-func (s *Sender) NextSeq() int64 { return s.nextSeq }
-
 // InRecovery reports whether loss recovery is in progress.
 func (s *Sender) InRecovery() bool { return s.inRecovery }
-
-// DupThresh returns the current duplicate-ACK threshold (the DSACK
-// policies move it).
-func (s *Sender) DupThresh() int { return s.dupThresh }
 
 // SRTT returns the smoothed RTT estimate.
 func (s *Sender) SRTT() time.Duration { return s.rto.SRTT() }

@@ -44,9 +44,6 @@ type SackBlock struct {
 	Start, End int64
 }
 
-// Len returns the block length in segments.
-func (b SackBlock) Len() int64 { return b.End - b.Start }
-
 // Contains reports whether seq lies inside the block.
 func (b SackBlock) Contains(seq int64) bool { return seq >= b.Start && seq < b.End }
 
@@ -76,10 +73,6 @@ type Ack struct {
 	EchoTxSeq int64
 	OOO       bool
 }
-
-// IsDup reports whether the ACK is a duplicate with respect to una, the
-// sender's current lowest unacknowledged sequence.
-func (a Ack) IsDup(una int64) bool { return a.CumAck == una }
 
 // ClonePayload implements netem's payload-duplication seam: a link-layer
 // duplicate must not share a pooled payload box with the original, or the

@@ -142,10 +142,6 @@ func (p *Partition) ShardOf(name string) int {
 // Nodes returns shard s's node names, in blueprint order.
 func (p *Partition) Nodes(s int) []string { return p.nodes[s] }
 
-// Cuts returns the indices (into the blueprint's link slice) of the links
-// crossing shard boundaries.
-func (p *Partition) Cuts() []int { return p.cuts }
-
 // Lookahead returns the minimum propagation delay over the cut, or zero
 // when no link crosses a boundary (the shards are fully independent and
 // may run to the horizon in one window).

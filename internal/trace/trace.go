@@ -43,10 +43,9 @@ type Event struct {
 type Recorder struct {
 	Events []Event
 
-	// kindCounts and arrivals are maintained at append time so CountKind
-	// and ReorderRate stay O(1) however long the event log grows.
-	kindCounts [256]int
-	arrivals   int // original (non-retx) data arrivals
+	// arrivals is maintained at append time so ReorderRate stays O(1)
+	// however long the event log grows.
+	arrivals int // original (non-retx) data arrivals
 
 	// maxRecvSeq tracks the highest data sequence seen at the receiver,
 	// for online reorder accounting.
@@ -62,7 +61,6 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // record appends one event and updates the running counts.
 func (r *Recorder) record(e Event) {
 	r.Events = append(r.Events, e)
-	r.kindCounts[e.Kind]++
 	if e.Kind == DataRecv && !e.Retx {
 		r.arrivals++
 	}
@@ -145,6 +143,3 @@ func (r *Recorder) WriteTSV(w io.Writer) error {
 	}
 	return nil
 }
-
-// CountKind returns the number of recorded events of one kind.
-func (r *Recorder) CountKind(k Kind) int { return r.kindCounts[k] }

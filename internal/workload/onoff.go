@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"time"
 
@@ -42,10 +43,6 @@ type OnOffConfig struct {
 	// completed transfers (0 = keep going for the whole run). Bounded
 	// sources let drain tests assert full event-queue quiescence.
 	MaxTransfers int
-	// SizePkts, when set, replaces the Pareto sampler: each transfer's
-	// size in packets is drawn from it (using the source's RNG). The
-	// http shape plugs its request-size mixture in here.
-	SizePkts func(rng *rand.Rand) int64
 }
 
 func (c *OnOffConfig) fill() {
@@ -123,17 +120,41 @@ func (s *OnOffSource) Start(at sim.Time) {
 }
 
 // pareto draws a Pareto(shape, xm) sample with the configured mean:
-// mean = xm*shape/(shape-1) => xm = mean*(shape-1)/shape.
+// mean = xm*shape/(shape-1) => xm = mean*(shape-1)/shape, clamped to
+// [1, 10000] packets so one tail draw cannot dominate a run.
 func (s *OnOffSource) pareto() int64 {
-	return paretoPkts(s.rng, s.cfg.MeanSizePkts, s.cfg.ParetoShape)
+	shape := s.cfg.ParetoShape
+	xm := s.cfg.MeanSizePkts * (shape - 1) / shape
+	u := s.rng.Float64()
+	for u == 0 {
+		u = s.rng.Float64()
+	}
+	size := xm / math.Pow(u, 1/shape)
+	if size < 1 {
+		size = 1
+	}
+	if size > 10000 {
+		size = 10000
+	}
+	return int64(size)
 }
 
 // Done reports whether the source has stopped for good: it either hit
 // MaxTransfers or abandoned a transfer after exhausting its retry budget.
 func (s *OnOffSource) Done() bool { return s.stopped }
 
-// Stats implements Generator, folding the exported counters into the
-// common ledger.
+// GenStats is a source's outcome ledger: how many connections it
+// opened, how many transfers completed, the payload they delivered, and
+// the retry/abandonment counts of an abort-aware source.
+type GenStats struct {
+	FlowsStarted   int
+	Transfers      int
+	BytesDelivered int64
+	Retries        int
+	GaveUp         int
+}
+
+// Stats folds the exported counters into one ledger.
 func (s *OnOffSource) Stats() GenStats {
 	return GenStats{
 		FlowsStarted:   s.flowSeq,
@@ -150,14 +171,7 @@ func (s *OnOffSource) beginTransfer() {
 		return
 	}
 	s.attempt = 0
-	if s.cfg.SizePkts != nil {
-		s.curTargetPkts = s.cfg.SizePkts(s.rng)
-		if s.curTargetPkts < 1 {
-			s.curTargetPkts = 1
-		}
-	} else {
-		s.curTargetPkts = s.pareto()
-	}
+	s.curTargetPkts = s.pareto()
 	s.startAttempt()
 }
 
