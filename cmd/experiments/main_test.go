@@ -83,10 +83,30 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 	}
 }
 
+// wantList is the -list output, byte for byte: scripts parse it.
+const wantList = `  fig2               Fig 2 fairness: TCP-PR vs TCP-SACK normalized throughput across flow counts
+  fig3               Fig 3 CoV of throughput vs loss rate, repeated over seeds
+  fig4               Fig 4 alpha/beta sensitivity grid against TCP-SACK
+  fig6               Fig 6 multipath comparison across protocols, epsilons, and link delays
+  ablation-beta      Ablation: beta under heavy loss (the paper's §4 note)
+  ablation-memorize  Ablation: memorize list on vs off under burst loss
+  ablation-sendcwnd  Ablation: halve from send-time cwnd vs current cwnd
+  ablation-holemode  Ablation: hole-handling policy while the cumulative ACK is frozen
+  ext-threshold      Extension: loss-detection threshold sweep over a recorded trace
+  ext-reorder        Extension: how much reordering each epsilon actually produces
+  ext-robustness     Extension: goodput under ACK loss, delayed ACKs, jitter, and RED
+  ext-door           Extension: Fig 6 protocol set plus TCP-DOOR and Eifel
+  city               Sharded-city scaling: sim-s/wall-s of the parallel engine at 1 vs 4 shards
+  faultmatrix        Survival matrix: every protocol against every scripted fault scenario
+  churnmatrix        Endpoint-churn matrix: retrying workloads against host blip/reboot/flap/death
+  reordermatrix      Reordering survival matrix: every protocol against every canned reorder model
+  repairmatrix       Repair-middlebox matrix: reorder models × repair boxes × every protocol
+`
+
 func TestAcceptedCombinations(t *testing.T) {
 	code, stdout, stderr := invoke("", "-list")
-	if code != 0 || !strings.Contains(stdout, "faultmatrix") || stderr != "" {
-		t.Errorf("-list: exit %d\n%s%s", code, stdout, stderr)
+	if code != 0 || stdout != wantList || stderr != "" {
+		t.Errorf("-list: exit %d\n%s%s\nwant stdout:\n%s", code, stdout, stderr, wantList)
 	}
 	// -flight-recorder is satisfied by a fuzz replay alone.
 	code, stdout, stderr = invoke("", "-fuzz-seed", "7", "-flight-recorder")

@@ -1,9 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/csv"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tcppr/internal/runobs"
@@ -61,21 +69,43 @@ func TestRegistryIsACopy(t *testing.T) {
 	}
 }
 
+// updateSmoke re-records results/registry_smoke.sha256 from this tree.
+var updateSmoke = flag.Bool("update", false, "rewrite "+smokePinPath+" from this tree's experiments")
+
+// smokePinPath is the byte-level pin of every spec's Smoke + Quick run.
+const smokePinPath = "../../results/registry_smoke.sha256"
+
 // TestRegistryRoundTrip runs every registered experiment end to end under
 // Quick durations with Smoke trimming and checks each produces a non-empty
 // Report and writes its advertised CSV files. CheckInvariants is on, so
 // this doubles as the conformance gate: a single oracle violation in any
 // cell of any experiment fails the round trip.
+//
+// It is also the experiments' byte-level pin: every run writes -metrics
+// too, and the sha256 of each CSV, manifest, series TSV and of the printed
+// tables must match results/registry_smoke.sha256. Wall-clock bytes are
+// left out: manifest wall_seconds/events_per_sec, the city table's wall
+// and rate columns, and heartbeat and engine files (presence only).
+//
+//	go test -run TestRegistryRoundTrip ./internal/experiments            # compare
+//	go test -run TestRegistryRoundTrip ./internal/experiments -update    # re-record
 func TestRegistryRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")
+	}
+	want := readSmokePin(t)
+	var mu sync.Mutex
+	got := map[string]map[string]string{}
+	if *updateSmoke {
+		t.Cleanup(func() { writeSmokePin(t, got) })
 	}
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			rep, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true, Obs: runobs.NewSession(runobs.Options{Check: true})})
+			rep, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true,
+				Obs: runobs.NewSession(runobs.Options{Check: true, MetricsDir: dir})})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -83,6 +113,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatal("report has no tables")
 			}
+			var printed strings.Builder
 			for i, tb := range tables {
 				if tb == nil {
 					t.Fatalf("table %d is nil", i)
@@ -91,12 +122,13 @@ func TestRegistryRoundTrip(t *testing.T) {
 					t.Errorf("table %d (%q) has no rows", i, tb.Title)
 				}
 				var sb strings.Builder
-				if err := tb.Fprint(&sb); err != nil {
+				if err := dropWallColumns(tb).Fprint(&sb); err != nil {
 					t.Fatalf("table %d print: %v", i, err)
 				}
 				if sb.Len() == 0 {
 					t.Errorf("table %d (%q) prints empty", i, tb.Title)
 				}
+				printed.WriteString(sb.String())
 			}
 			for _, f := range rep.(report).csvs {
 				data, err := os.ReadFile(filepath.Join(dir, f.Name))
@@ -107,7 +139,153 @@ func TestRegistryRoundTrip(t *testing.T) {
 					t.Errorf("CSV %s is empty", f.Name)
 				}
 			}
+			sums := smokeSums(t, dir)
+			sums["tables"] = sha(printed.String())
+			mu.Lock()
+			got[spec.Name] = sums
+			mu.Unlock()
+			if !*updateSmoke {
+				compareSmoke(t, want[spec.Name], sums)
+			}
 		})
+	}
+}
+
+func sha(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
+
+// wallColumns are the table columns whose cells read the host's clock.
+var wallColumns = map[string]bool{"wall_s": true, "sim_s/wall_s": true, "speedup": true}
+
+// dropWallColumns returns t with every wall-clock column blanked.
+func dropWallColumns(t *Table) *Table {
+	out := &Table{Title: t.Title, Header: t.Header}
+	for _, row := range t.Rows {
+		r := append([]string(nil), row...)
+		for i, h := range t.Header {
+			if wallColumns[h] && i < len(r) {
+				r[i] = "-"
+			}
+		}
+		out.Rows = append(out.Rows, r)
+	}
+	return out
+}
+
+// smokeSums hashes every file a smoke run left in dir: "-" for wall-clock
+// files, manifests without their wall-clock fields, CSVs without their
+// wall-clock columns, everything else verbatim.
+func smokeSums(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[string]string{}
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasSuffix(name, ".heartbeat.jsonl") || strings.Contains(name, ".engine.") {
+			sums[name] = "-"
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case strings.HasSuffix(name, ".manifest.json") || strings.HasSuffix(name, "_run.json"):
+			var m map[string]any
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			delete(m, "wall_seconds")
+			delete(m, "events_per_sec")
+			if raw, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+		case strings.HasSuffix(name, ".csv"):
+			rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
+			if err != nil || len(rows) == 0 {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tb := dropWallColumns(&Table{Header: rows[0], Rows: rows[1:]})
+			var b bytes.Buffer
+			if err := tb.WriteCSV(&b); err != nil {
+				t.Fatal(err)
+			}
+			raw = b.Bytes()
+		}
+		sums[name] = sha(string(raw))
+	}
+	return sums
+}
+
+func compareSmoke(t *testing.T, want, got map[string]string) {
+	t.Helper()
+	if want == nil {
+		t.Fatalf("%s pins nothing for this experiment (re-record with -update)", smokePinPath)
+	}
+	for name, sum := range want {
+		switch g, ok := got[name]; {
+		case !ok:
+			t.Errorf("%s: not produced", name)
+		case g != sum:
+			t.Errorf("%s: sha256 %s, pinned %s", name, g, sum)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: produced but not pinned", name)
+		}
+	}
+}
+
+func readSmokePin(t *testing.T) map[string]map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(smokePinPath)
+	if err != nil {
+		if *updateSmoke {
+			return nil
+		}
+		t.Fatalf("%v (re-record with -update)", err)
+	}
+	want := map[string]map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sum, file, ok := strings.Cut(line, "  ")
+		spec, name, ok2 := strings.Cut(file, "/")
+		if !ok || !ok2 {
+			t.Fatalf("%s: malformed line %q", smokePinPath, line)
+		}
+		if want[spec] == nil {
+			want[spec] = map[string]string{}
+		}
+		want[spec][name] = sum
+	}
+	return want
+}
+
+func writeSmokePin(t *testing.T, got map[string]map[string]string) {
+	if t.Failed() {
+		return
+	}
+	var b strings.Builder
+	b.WriteString("# sha256 of every table, CSV, manifest and series TSV of each experiment's Smoke + Quick run.\n")
+	b.WriteString("# \"-\" pins presence only (wall-clock content). Re-record: go test -run TestRegistryRoundTrip ./internal/experiments -update\n")
+	for _, spec := range Names() {
+		names := make([]string, 0, len(got[spec]))
+		for n := range got[spec] {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(&b, "\n")
+		for _, n := range names {
+			fmt.Fprintf(&b, "%s  %s/%s\n", got[spec][n], spec, n)
+		}
+	}
+	if err := os.WriteFile(smokePinPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
