@@ -25,60 +25,56 @@ import (
 // benchDur is a shortened measurement protocol for benchmarks.
 var benchDur = experiments.Durations{Warm: 15 * time.Second, Measure: 10 * time.Second}
 
-func BenchmarkFig2Dumbbell(b *testing.B) {
+// benchSpec runs a registered experiment once per iteration; with smoke
+// set, only its Smoke cells.
+func benchSpec(b *testing.B, name string, smoke bool) {
+	b.Helper()
+	spec, _ := experiments.Lookup(name)
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig2(experiments.Fig2Config{
-			Topology:   "dumbbell",
-			FlowCounts: []int{8},
-			Durations:  benchDur,
-		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
+		tables, err := spec.Run(experiments.RunConfig{Durations: benchDur, Smoke: smoke})
+		if err != nil || len(tables) == 0 || len(tables[0].Rows) == 0 {
+			b.Fatalf("missing result: %v", err)
 		}
 	}
 }
 
+// BenchmarkFig2Dumbbell runs the 8-flow dumbbell cell (fig2's Smoke cell).
+func BenchmarkFig2Dumbbell(b *testing.B) {
+	benchSpec(b, "fig2", true)
+}
+
 func BenchmarkFig2ParkingLot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig2(experiments.Fig2Config{
-			Topology:   "parkinglot",
+		tables, err := experiments.RunFig2(experiments.Fig2Config{
+			Topologies: []string{"parkinglot"},
 			FlowCounts: []int{8},
 			Durations:  benchDur,
 		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
+		if err != nil || len(tables[0].Rows) != 1 {
+			b.Fatalf("missing result: %v", err)
 		}
 	}
 }
 
 func BenchmarkFig3CoV(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig3(experiments.Fig3Config{
-			Topology:       "dumbbell",
+		tables, err := experiments.RunFig3(experiments.Fig3Config{
+			Topologies:     []string{"dumbbell"},
 			BandwidthsMbps: []float64{5},
 			Flows:          8,
 			Seeds:          1,
 			Durations:      benchDur,
 		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
+		if err != nil || len(tables[0].Rows) != 1 {
+			b.Fatalf("missing result: %v", err)
 		}
 	}
 }
 
+// BenchmarkFig4AlphaBetaCell runs the α = 0.995, β = 3, 8-flow dumbbell
+// cell (fig4's Smoke cell).
 func BenchmarkFig4AlphaBetaCell(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig4(experiments.Fig4Config{
-			Topology:  "dumbbell",
-			Alphas:    []float64{0.995},
-			Betas:     []float64{3},
-			Flows:     8,
-			Durations: benchDur,
-		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
-		}
-	}
+	benchSpec(b, "fig4", true)
 }
 
 // BenchmarkFig6 covers one cell per regime: the full-multipath case where
@@ -98,79 +94,47 @@ func BenchmarkFig6SinglePathPR(b *testing.B) {
 func benchFig6Cell(b *testing.B, proto string, eps float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig6(experiments.Fig6Config{
+		pts, err := experiments.RunFig6(experiments.Fig6Config{
 			Protocols:  []string{proto},
 			Epsilons:   []float64{eps},
 			LinkDelays: []time.Duration{10 * time.Millisecond},
 			Durations:  benchDur,
 		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
+		if err != nil || len(pts) != 1 {
+			b.Fatalf("missing result: %v", err)
 		}
 	}
 }
 
+// BenchmarkAblationBeta runs the β = 3, 8-flow cell (ablation-beta's Smoke
+// cell).
 func BenchmarkAblationBeta(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunAblationBeta(experiments.AblationBetaConfig{
-			Betas:     []float64{3},
-			Flows:     8,
-			Durations: benchDur,
-		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
-		}
-	}
+	benchSpec(b, "ablation-beta", true)
 }
 
 func BenchmarkAblationMemorize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunAblationMemorize(benchDur, nil)
-		if len(res.Rows) != 2 {
-			b.Fatal("missing result")
-		}
-	}
+	benchSpec(b, "ablation-memorize", false)
 }
 
 func BenchmarkAblationSendCwnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunAblationSendCwnd(benchDur, nil)
-		if len(res.Rows) != 2 {
-			b.Fatal("missing result")
-		}
-	}
+	benchSpec(b, "ablation-sendcwnd", false)
 }
 
 // BenchmarkExtThresholdSweep measures the offline threshold-replay
 // pipeline (trace a flow, extract samples, sweep beta).
 func BenchmarkExtThresholdSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.RunThresholdSweep(benchDur, nil)
-		if len(t.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
+	benchSpec(b, "ext-threshold", false)
 }
 
 // BenchmarkExtReorderProfile measures the reorder-quantification sweep.
 func BenchmarkExtReorderProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := experiments.RunReorderProfile(benchDur, 10*time.Millisecond, nil)
-		if len(pts) != 5 {
-			b.Fatal("missing points")
-		}
-	}
+	benchSpec(b, "ext-reorder", false)
 }
 
-// BenchmarkExtRobustnessCellJitter measures the jitter impairment cell
-// (the DiffServ scenario).
+// BenchmarkExtRobustnessCellJitter measures the robustness grid, the
+// jitter impairment (the DiffServ scenario) among its cells.
 func BenchmarkExtRobustnessCellJitter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunRobustness(benchDur, nil)
-		if len(res.Rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
+	benchSpec(b, "ext-robustness", false)
 }
 
 // BenchmarkWebWorkload measures the on/off source machinery: finite

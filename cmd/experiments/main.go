@@ -34,8 +34,8 @@
 // instead of its default {none, repair, repair-tight} sweep. Other
 // experiments ignore them.
 //
-// -progress prints one start and one done line per simulation cell of the
-// parallel sweeps to stderr — a long -parallel run stops looking hung.
+// -progress prints one start and one done line per simulation cell of
+// every experiment to stderr — a long -parallel run stops looking hung.
 // -heartbeat, -engine-profile, and -watchdog-timeout arm the
 // internal/engineobs telemetry stack: live progress beats (text on
 // stderr, JSON lines in -metrics), per-shard window profiles with a
@@ -204,11 +204,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, s := range specs {
 		start := time.Now()
-		rep, err := s.Run(cfg)
+		tables, err := s.Run(cfg)
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", s.Name, err))
 		}
-		for _, t := range rep.Tables() {
+		for _, t := range tables {
 			if err := t.Fprint(stdout); err != nil {
 				return fail(err)
 			}

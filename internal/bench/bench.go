@@ -54,8 +54,7 @@ type Measurement struct {
 	// counters of every scheduler the entry ran, totalled over the timed
 	// region of those Ops (MaxHeapLen: the largest seen). They are exact
 	// counts of a deterministic program, the same on any machine at the
-	// same Ops; figure/fig6-cell builds its scheduler out of reach and
-	// carries none.
+	// same Ops.
 	Ops  int        `json:"ops,omitempty"`
 	Heap *sim.Stats `json:"heap,omitempty"`
 }
@@ -663,18 +662,20 @@ func cityCellProfiled(shards int) func(b *testing.B, heap *heapCounters) {
 }
 
 // benchFig6Cell runs one reduced-window Fig 6 multipath cell (TCP-PR at
-// full multipath, where reordering stress is maximal).
-func benchFig6Cell(b *testing.B, _ *heapCounters) {
+// full multipath, where reordering stress is maximal); the harness hands
+// back the cell's scheduler counters.
+func benchFig6Cell(b *testing.B, heap *heapCounters) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig6(experiments.Fig6Config{
+		pts, err := experiments.RunFig6(experiments.Fig6Config{
 			Protocols:  []string{workload.TCPPR},
 			Epsilons:   []float64{0},
 			LinkDelays: []time.Duration{10 * time.Millisecond},
 			Durations:  experiments.Durations{Warm: 5 * time.Second, Measure: 5 * time.Second},
 		})
-		if len(res.Points) != 1 {
-			b.Fatal("missing result")
+		if err != nil || len(pts) != 1 {
+			b.Fatalf("missing result: %v", err)
 		}
+		heap.total.Add(pts[0].Heap, sim.Stats{})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tcppr/internal/faults"
-	"tcppr/internal/routing"
 	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
@@ -118,27 +117,25 @@ type ChurnMatrixResult struct {
 // the matrix, scenario-major in the configured order.
 func RunChurnMatrix(cfg ChurnMatrixConfig) (ChurnMatrixResult, error) {
 	cfg.fill()
-	cells, err := runMatrix(matrix{
-		name:   "churnmatrix",
-		axes:   []axis{{cfg.Scenarios, catalog(faults.HostScenarioByName)}, {names: cfg.Protocols}},
-		total:  cfg.Total,
-		seed:   cfg.Seed,
-		params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()},
-		obs:    cfg.Obs,
-	}, func(c *matrixCell) func() ChurnMatrixCell { return churnCell(c, cfg) })
+	cells, err := runSweep(survival("churnmatrix", cfg.Total, cfg.Seed,
+		map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Obs,
+		names(cfg.Scenarios, catalog(faults.HostScenarioByName)), names(cfg.Protocols, knownProtocol("churnmatrix"))),
+		func(c *cell[[]string]) func() ChurnMatrixCell { return churnCell(c, cfg) })
 	return ChurnMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // churnCell sets up one protocol's retrying workload under one host
 // scenario.
-func churnCell(c *matrixCell, cfg ChurnMatrixConfig) func() ChurnMatrixCell {
-	sc, _ := faults.HostScenarioByName(c.Key[0]) // runMatrix vouched for the name
+func churnCell(c *cell[[]string], cfg ChurnMatrixConfig) func() ChurnMatrixCell {
+	sc, _ := faults.HostScenarioByName(c.Key[0]) // runSweep vouched for the name
 	proto := c.Key[1]
-	db, sched, peer := c.DB, c.Sched, c.DB.Dst(0)
+	slot, sched := c.slots[0], c.Sched
+	peer := slot.dst
+	c.Scope.Links(c.bottlenecks[0], c.rev)
 
 	tl := faults.NewTimeline()
 	c.Scope.Timeline(tl)
-	faults.InstrumentHostDrops(c.Scope.Registry(), db.Net)
+	faults.InstrumentHostDrops(c.Scope.Registry(), c.net)
 	sc.Build(tl, peer, sim.Time(cfg.FaultAt))
 	tl.Install(sched)
 
@@ -146,8 +143,7 @@ func churnCell(c *matrixCell, cfg ChurnMatrixConfig) func() ChurnMatrixCell {
 	disruptEnd := sim.Time(cfg.FaultAt) + sim.Time(sc.Disrupt)
 
 	retry := cfg.Retry // per-cell copy; OnOffSource fills the rest
-	src := workload.NewOnOffSource(db.Net, 1000, db.Src(0), peer,
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)},
+	src := workload.NewOnOffSource(c.net, 1000, slot.src, peer, slot.fwd, slot.rev,
 		workload.OnOffConfig{
 			MeanSizePkts: 100,
 			MeanThink:    200 * time.Millisecond,
@@ -200,6 +196,7 @@ func (r ChurnMatrixResult) Table() *Table {
 			r.Config.Total, r.Config.FaultAt, r.Config.Retry.Abort.R2, r.Config.Retry.MaxAttempts),
 		Header: []string{"scenario", "protocol", "goodput (Mbps)", "transfers",
 			"aborts", "spurious", "retries", "gave up", "recovery (s)"},
+		csv: "churnmatrix.csv",
 	}
 	for _, c := range r.Cells {
 		rec := "never"
@@ -220,6 +217,7 @@ func (r ChurnMatrixResult) EventsTable() *Table {
 	t := &Table{
 		Title:  "Endpoint-churn event log (time, event, connection, detail)",
 		Header: []string{"scenario", "protocol", "event"},
+		csv:    "churnmatrix_events.csv", quiet: true,
 	}
 	for _, c := range r.Cells {
 		for _, e := range c.Events {

@@ -62,6 +62,7 @@ func (r CityScalingResult) Table() *Table {
 		Title: fmt.Sprintf("City scaling: %d districts x %d hosts, horizon %v",
 			r.Cfg.City.Districts, r.Cfg.City.HostsPerDistrict, r.Cfg.Horizon),
 		Header: []string{"shards", "flows", "transfers", "events", "sim_s", "wall_s", "sim_s/wall_s", "speedup"},
+		csv:    "city_scaling.csv",
 	}
 	var base float64
 	for _, run := range r.Runs {

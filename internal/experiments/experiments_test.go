@@ -2,70 +2,75 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"tcppr/internal/stats"
 	"tcppr/internal/workload"
 )
 
 func TestFig2DumbbellFairness(t *testing.T) {
-	res := RunFig2(Fig2Config{
-		Topology:   "dumbbell",
+	cells, err := runSweep(fig2Sweep(Fig2Config{
+		Topologies: []string{"dumbbell"},
 		FlowCounts: []int{8, 16},
 		Durations:  Quick,
-	})
-	if len(res.Points) != 2 {
-		t.Fatalf("points = %d, want 2", len(res.Points))
+	}), mixedCell)
+	if err != nil || len(cells) != 2 {
+		t.Fatalf("cells = %d (%v), want 2", len(cells), err)
 	}
-	for _, p := range res.Points {
-		if p.MeanPR < 0.55 || p.MeanPR > 1.45 {
-			t.Errorf("n=%d: TCP-PR mean normalized = %.3f, want ~1", p.Flows, p.MeanPR)
+	for _, o := range cells {
+		if pr := stats.Mean(o.pr); pr < 0.55 || pr > 1.45 {
+			t.Errorf("n=%d: TCP-PR mean normalized = %.3f, want ~1", o.flows, pr)
 		}
-		if p.MeanSACK < 0.55 || p.MeanSACK > 1.45 {
-			t.Errorf("n=%d: TCP-SACK mean normalized = %.3f, want ~1", p.Flows, p.MeanSACK)
+		if sack := stats.Mean(o.sack); sack < 0.55 || sack > 1.45 {
+			t.Errorf("n=%d: TCP-SACK mean normalized = %.3f, want ~1", o.flows, sack)
 		}
-		if got := len(p.PerFlow[workload.TCPPR]); got != p.Flows/2 {
-			t.Errorf("n=%d: %d PR flows recorded, want %d", p.Flows, got, p.Flows/2)
+		if got := len(o.pr); got != o.flows/2 {
+			t.Errorf("n=%d: %d PR flows recorded, want %d", o.flows, got, o.flows/2)
 		}
 	}
 }
 
 func TestFig2ParkingLotFairness(t *testing.T) {
-	res := RunFig2(Fig2Config{
-		Topology:   "parkinglot",
+	cells, err := runSweep(fig2Sweep(Fig2Config{
+		Topologies: []string{"parkinglot"},
 		FlowCounts: []int{8},
 		Durations:  Quick,
-	})
-	p := res.Points[0]
-	if p.MeanPR < 0.5 || p.MeanPR > 1.5 {
-		t.Errorf("TCP-PR mean normalized = %.3f, want ~1", p.MeanPR)
+	}), mixedCell)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.MeanSACK < 0.5 || p.MeanSACK > 1.5 {
-		t.Errorf("TCP-SACK mean normalized = %.3f, want ~1", p.MeanSACK)
+	o := cells[0]
+	if pr := stats.Mean(o.pr); pr < 0.5 || pr > 1.5 {
+		t.Errorf("TCP-PR mean normalized = %.3f, want ~1", pr)
+	}
+	if sack := stats.Mean(o.sack); sack < 0.5 || sack > 1.5 {
+		t.Errorf("TCP-SACK mean normalized = %.3f, want ~1", sack)
 	}
 }
 
 func TestFig3CoVRuns(t *testing.T) {
-	res := RunFig3(Fig3Config{
-		Topology:       "dumbbell",
+	cells, err := runSweep(fig3Sweep(Fig3Config{
+		Topologies:     []string{"dumbbell"},
 		BandwidthsMbps: []float64{5, 2.5},
 		Flows:          8,
 		Seeds:          2,
 		Durations:      Quick,
-	})
-	if len(res.Points) != 4 {
-		t.Fatalf("points = %d, want 4", len(res.Points))
+	}), mixedCell)
+	if err != nil || len(cells) != 4 {
+		t.Fatalf("cells = %d (%v), want 4", len(cells), err)
 	}
 	var lowBWLoss, highBWLoss float64
-	for _, p := range res.Points {
-		if p.CoVPR < 0 || p.CoVSACK < 0 {
-			t.Errorf("negative CoV at bw=%v", p.BandwidthMbps)
+	for _, o := range cells {
+		if stats.CoV(o.pr) < 0 || stats.CoV(o.sack) < 0 {
+			t.Errorf("negative CoV at bw=%v", o.bwMbps)
 		}
-		if p.BandwidthMbps == 2.5 {
-			lowBWLoss += p.LossRate / 2
+		if o.bwMbps == 2.5 {
+			lowBWLoss += o.loss / 2
 		} else {
-			highBWLoss += p.LossRate / 2
+			highBWLoss += o.loss / 2
 		}
 	}
 	if lowBWLoss <= highBWLoss {
@@ -75,20 +80,17 @@ func TestFig3CoVRuns(t *testing.T) {
 }
 
 func TestFig4BetaOneFavorsSACK(t *testing.T) {
-	res := RunFig4(Fig4Config{
-		Topology:  "dumbbell",
-		Alphas:    []float64{0.995},
-		Betas:     []float64{1, 3},
-		Flows:     8,
-		Durations: Quick,
-	})
+	cells, err := runSweep(fig4Sweep([]string{"dumbbell"}, []float64{0.995}, []float64{1, 3}, 8, Quick, nil), mixedCell)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var atOne, atThree float64
-	for _, p := range res.Points {
-		switch p.Beta {
+	for _, o := range cells {
+		switch o.params.Beta {
 		case 1:
-			atOne = p.MeanSACK
+			atOne = stats.Mean(o.sack)
 		case 3:
-			atThree = p.MeanSACK
+			atThree = stats.Mean(o.sack)
 		}
 	}
 	// The paper: at β=1 TCP-SACK exhibits better throughput; for β>1 the
@@ -102,14 +104,23 @@ func TestFig4BetaOneFavorsSACK(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res := RunFig6(Fig6Config{
+	pts, err := RunFig6(Fig6Config{
 		Protocols:  []string{workload.TCPPR, workload.DSACKIn1},
 		Epsilons:   []float64{0, 500},
 		LinkDelays: []time.Duration{10 * time.Millisecond},
 		Durations:  Quick,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	get := func(proto string, eps float64) float64 {
-		return res.lookup(proto, eps, 10*time.Millisecond)
+		for _, p := range pts {
+			if p.Protocol == proto && p.Epsilon == eps {
+				return p.Mbps
+			}
+		}
+		t.Fatalf("no cell %s eps=%g", proto, eps)
+		return 0
 	}
 	// At ε=500 (single path) both protocols are comparable.
 	prSingle, dsackSingle := get(workload.TCPPR, 500), get(workload.DSACKIn1, 500)
@@ -127,11 +138,17 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestAblationMemorize(t *testing.T) {
-	res := RunAblationMemorize(Quick, nil)
-	with, without := res.Rows[0], res.Rows[1]
-	if without.Halvings <= with.Halvings {
-		t.Errorf("disabling memorize should cause more halvings: %d vs %d",
-			without.Halvings, with.Halvings)
+	spec, _ := Lookup("ablation-memorize")
+	tables, err := spec.Run(RunConfig{Durations: Quick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows: memorize (paper), no memorize; column 2 is halvings.
+	with, without := tables[0].Rows[0][2], tables[0].Rows[1][2]
+	w, _ := strconv.Atoi(with)
+	wo, _ := strconv.Atoi(without)
+	if wo <= w {
+		t.Errorf("disabling memorize should cause more halvings: %d vs %d", wo, w)
 	}
 }
 
@@ -159,13 +176,4 @@ func TestTableRendering(t *testing.T) {
 	if got := csvBuf.String(); got != "a,bbbb\n1,2\n333,4\n" {
 		t.Errorf("CSV = %q", got)
 	}
-}
-
-func TestBuildScenarioUnknownTopologyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown topology must panic")
-		}
-	}()
-	buildScenario("ring", 4)
 }

@@ -83,28 +83,25 @@ type FaultMatrixResult struct {
 // matrix. Rows come out scenario-major in the configured order.
 func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 	cfg.fill()
-	cells, err := runMatrix(matrix{
-		name:   "faultmatrix",
-		axes:   []axis{{cfg.Scenarios, catalog(faults.ScenarioByName)}, {names: cfg.Protocols}},
-		total:  cfg.Total,
-		seed:   cfg.Seed,
-		params: map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()},
-		obs:    cfg.Obs,
-	}, func(c *matrixCell) func() FaultMatrixCell { return faultCell(c, cfg) })
+	cells, err := runSweep(survival("faultmatrix", cfg.Total, cfg.Seed,
+		map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Obs,
+		names(cfg.Scenarios, catalog(faults.ScenarioByName)), names(cfg.Protocols, knownProtocol("faultmatrix"))),
+		func(c *cell[[]string]) func() FaultMatrixCell { return faultCell(c, cfg) })
 	return FaultMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // faultCell sets up one protocol under one fault scenario.
-func faultCell(c *matrixCell, cfg FaultMatrixConfig) func() FaultMatrixCell {
-	sc, _ := faults.ScenarioByName(c.Key[0]) // runMatrix vouched for the name
+func faultCell(c *cell[[]string], cfg FaultMatrixConfig) func() FaultMatrixCell {
+	sc, _ := faults.ScenarioByName(c.Key[0]) // runSweep vouched for the name
 	proto := c.Key[1]
+	c.Scope.Links(c.bottlenecks[0], c.rev)
 
 	tl := faults.NewTimeline()
 	c.Scope.Timeline(tl)
-	sc.Build(tl, c.DB.Bottleneck, c.Rev, sim.Time(cfg.FaultAt), cfg.Seed)
+	sc.Build(tl, c.bottlenecks[0], c.rev, sim.Time(cfg.FaultAt), cfg.Seed)
 	tl.Install(c.Sched)
 
-	f := c.Flow()
+	f := c.flow(0)
 
 	// Recovery clock: snapshot delivered bytes when the disruption window
 	// closes, then stamp the first ACK that acknowledges anything beyond
@@ -145,6 +142,7 @@ func (r FaultMatrixResult) Table() *Table {
 		Title: fmt.Sprintf("Extension: fault survival matrix — single flow, 15 Mbps dumbbell, %v run, fault at %v",
 			r.Config.Total, r.Config.FaultAt),
 		Header: []string{"scenario", "protocol", "goodput (Mbps)", "retx segs", "recovery (s)"},
+		csv:    "faultmatrix.csv",
 	}
 	for _, c := range r.Cells {
 		rec := "never"

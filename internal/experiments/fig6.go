@@ -4,171 +4,106 @@ import (
 	"fmt"
 	"time"
 
-	"tcppr/internal/routing"
 	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
-	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
-// Fig6Config parameterizes the Figure 6 multipath comparison: one flow at
-// a time (no background traffic) over the Fig 5 topology, for each
-// protocol and each ε of the multipath routing family, at two per-link
-// propagation delays.
+// Fig6Config selects Figure 6's cells: one flow at a time (no background
+// traffic) over the Fig 5 three-path topology, for each link delay, ε of
+// the multipath routing family and protocol.
 type Fig6Config struct {
-	// Protocols lists the senders to compare; zero selects the figure's
-	// set (TCP-PR, TD-FR, DSACK-NM, Inc by 1, Inc by N, EWMA).
-	Protocols []string
-	// Epsilons lists the routing parameters; zero selects the paper's
-	// {0, 1, 4, 10, 500}.
-	Epsilons []float64
-	// LinkDelays lists the per-link propagation delays; zero selects the
-	// paper's {10 ms, 60 ms}.
+	Protocols  []string
+	Epsilons   []float64
 	LinkDelays []time.Duration
-	// Paths is the number of disjoint paths in the topology; default 3.
-	Paths int
-	// Durations control warm-up and measurement windows.
-	Durations Durations
-	// Seed feeds the per-packet path choices.
+	Durations  Durations
+	// Seed feeds the per-packet path choices; zero selects 42.
 	Seed int64
-	// Obs, when non-nil, is the run's telemetry session; every cell runs
-	// inside one of its scopes.
-	Obs *runobs.Session
-
-	// experiment names the cells' scopes and manifests; empty selects
-	// "fig6" (the ext-door comparison reuses this runner under its own).
-	experiment string
+	Obs  *runobs.Session
 }
 
-func (c *Fig6Config) fill() {
-	if len(c.Protocols) == 0 {
-		c.Protocols = workload.Fig6Protocols()
-	}
-	if len(c.Epsilons) == 0 {
-		c.Epsilons = []float64{0, 1, 4, 10, 500}
-	}
-	if len(c.LinkDelays) == 0 {
-		c.LinkDelays = []time.Duration{10 * time.Millisecond, 60 * time.Millisecond}
-	}
-	if c.Paths == 0 {
-		c.Paths = 3
-	}
-	if c.Durations == (Durations{}) {
-		c.Durations = Full
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.experiment == "" {
-		c.experiment = "fig6"
-	}
-}
-
-// Fig6Point is one (protocol, ε, delay) measurement.
+// Fig6Point is one finished Fig 6 cell: its goodput over the measurement
+// window and its scheduler's queue counters.
 type Fig6Point struct {
 	Protocol  string
 	Epsilon   float64
 	LinkDelay time.Duration
 	Mbps      float64
+	Heap      sim.Stats
 }
 
-// Fig6Result aggregates the comparison.
-type Fig6Result struct {
-	Config Fig6Config
-	Points []Fig6Point
-}
+// RunFig6 reproduces Figure 6's cells, link delay outermost, then ε, then
+// protocol.
+func RunFig6(cfg Fig6Config) ([]Fig6Point, error) { return runFig6("fig6", cfg) }
 
-// RunFig6 reproduces Figure 6. Cells are independent simulations and run
-// in parallel across the available CPUs.
-func RunFig6(cfg Fig6Config) Fig6Result {
-	cfg.fill()
-	type cell struct {
-		proto string
-		eps   float64
-		delay time.Duration
+// runFig6 runs the Fig 6 sweep under an experiment name: ext-door reuses
+// it with its own.
+func runFig6(name string, cfg Fig6Config) ([]Fig6Point, error) {
+	if cfg.Seed == 0 {
+		cfg.Seed = 42
 	}
-	var cells []cell
-	for _, delay := range cfg.LinkDelays {
-		for _, eps := range cfg.Epsilons {
-			for _, proto := range cfg.Protocols {
-				cells = append(cells, cell{proto, eps, delay})
+	return runSweep(sweep[Fig6Point]{
+		name: name, d: cfg.Durations, obs: cfg.Obs,
+		axes: []axis[Fig6Point]{
+			along(cfg.LinkDelays, nil, func(k *Fig6Point, d time.Duration) { k.LinkDelay = d }),
+			along(cfg.Epsilons, nil, func(k *Fig6Point, e float64) { k.Epsilon = e }),
+			along(cfg.Protocols, knownProtocol(name), func(k *Fig6Point, p string) { k.Protocol = p }),
+		},
+		build: func(c *cell[Fig6Point]) world {
+			k := c.Key
+			w := multipath(c.Sched, k.LinkDelay, k.Epsilon, sim.SplitSeed(cfg.Seed, 1), sim.SplitSeed(cfg.Seed, 2))
+			w.flows = []*workload.Flow{workload.NewFlow(w.flow(0), k.Protocol, workload.PRParams{}, 0)}
+			// Convergence to steady state through congestion avoidance
+			// scales with the bandwidth-delay product, so the warm-up
+			// scales with the link delay (60 ms links need ~6x the 10 ms
+			// warm-up).
+			if warm := c.Warm * sim.Time(k.LinkDelay/(10*time.Millisecond)); warm > c.Warm {
+				c.Warm = warm
 			}
-		}
-	}
-	points := parallelMap(len(cells), func(i int) Fig6Point {
-		c := cells[i]
-		return Fig6Point{
-			Protocol:  c.proto,
-			Epsilon:   c.eps,
-			LinkDelay: c.delay,
-			Mbps:      runFig6Cell(cfg, c.proto, c.eps, c.delay),
+			return w
+		},
+		label: func(k Fig6Point) (string, runobs.Fields) {
+			return fmt.Sprintf("%s_%s_eps%g_d%dms", name, k.Protocol, k.Epsilon, k.LinkDelay.Milliseconds()),
+				runobs.Fields{Variant: k.Protocol, Seed: cfg.Seed, Params: map[string]float64{
+					"eps": k.Epsilon, "delay_ms": float64(k.LinkDelay.Milliseconds()), "paths": 3}}
+		},
+	}, func(c *cell[Fig6Point]) func() Fig6Point {
+		wf := c.flows[0]
+		c.Scope.Flows(wf)
+		c.Scope.Links(c.net.Links()...)
+		wf.MarkWindow(c.Sched, c.Warm, c.Horizon)
+		return func() Fig6Point {
+			p := c.Key
+			p.Mbps = stats.Mbps(stats.Throughput(wf.WindowBytes(), cfg.Durations.Measure))
+			p.Heap = c.Sched.Stats()
+			return p
 		}
 	})
-	return Fig6Result{Config: cfg, Points: points}
 }
 
-// runFig6Cell runs one single-flow simulation and returns goodput in Mbps.
-func runFig6Cell(cfg Fig6Config, proto string, eps float64, delay time.Duration) float64 {
-	sched := sim.NewScheduler()
-	m := topo.NewMultipath(sched, cfg.Paths, delay)
-	fwd := routing.NewEpsilon(m.FwdPaths, eps, sim.NewRand(sim.SplitSeed(cfg.Seed, 1)))
-	rev := routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(sim.SplitSeed(cfg.Seed, 2)))
-	f := tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	// Convergence to steady state through congestion avoidance scales
-	// with the bandwidth-delay product, so the warm-up scales with the
-	// link delay (60 ms links need ~6x the 10 ms warm-up).
-	warm := cfg.Durations.Warm * sim.Time(delay/(10*time.Millisecond))
-	if warm < cfg.Durations.Warm {
-		warm = cfg.Durations.Warm
-	}
-	sc := cfg.Obs.Open(fmt.Sprintf("%s_%s_eps%g_d%dms", cfg.experiment, proto, eps, delay.Milliseconds()),
-		warm+cfg.Durations.Measure, m.Net, sched)
-	sc.Flows(wf)
-	sc.Links(m.Net.Links()...)
-	wf.MarkWindow(sched, warm, warm+cfg.Durations.Measure)
-	sched.RunUntil(warm + cfg.Durations.Measure)
-	sc.Finish(runobs.Fields{Experiment: cfg.experiment, Topology: "multipath", Variant: proto, Seed: cfg.Seed,
-		Params: map[string]float64{"eps": eps, "delay_ms": float64(delay.Milliseconds()), "paths": float64(cfg.Paths)}})
-	return stats.Mbps(stats.Throughput(wf.WindowBytes(), cfg.Durations.Measure))
-}
-
-// Table renders one sub-table per link delay, protocols as rows and ε as
-// columns — the layout of the paper's bar groups.
-func (r Fig6Result) Table() []*Table {
+// fig6Tables renders one table per link delay, protocols as rows and ε as
+// columns — the layout of the paper's bar groups — the i-th exported as
+// fig6_delay<i>.csv.
+func fig6Tables(cfg Fig6Config, points []Fig6Point) []*Table {
 	var tables []*Table
-	for _, delay := range r.Config.LinkDelays {
+	for i, part := range split(points, len(cfg.Epsilons)*len(cfg.Protocols)) {
 		t := &Table{
-			Title:  fmt.Sprintf("Figure 6: throughput (Mbps), %v per-link delay", delay),
-			Header: append([]string{"protocol"}, epsHeaders(r.Config.Epsilons)...),
+			Title:  fmt.Sprintf("Figure 6: throughput (Mbps), %v per-link delay", part[0].LinkDelay),
+			Header: []string{"protocol"},
+			csv:    fmt.Sprintf("fig6_delay%d.csv", i),
 		}
-		for _, proto := range r.Config.Protocols {
+		for _, e := range cfg.Epsilons {
+			t.Header = append(t.Header, fmt.Sprintf("eps=%g", e))
+		}
+		for j, proto := range cfg.Protocols {
 			row := []string{proto}
-			for _, eps := range r.Config.Epsilons {
-				row = append(row, f2(r.lookup(proto, eps, delay)))
+			for e := range cfg.Epsilons {
+				row = append(row, f2(part[e*len(cfg.Protocols)+j].Mbps))
 			}
 			t.AddRow(row...)
 		}
 		tables = append(tables, t)
 	}
 	return tables
-}
-
-func epsHeaders(eps []float64) []string {
-	out := make([]string, len(eps))
-	for i, e := range eps {
-		out[i] = fmt.Sprintf("eps=%g", e)
-	}
-	return out
-}
-
-func (r Fig6Result) lookup(proto string, eps float64, delay time.Duration) float64 {
-	for _, p := range r.Points {
-		if p.Protocol == proto && p.Epsilon == eps && p.LinkDelay == delay {
-			return p.Mbps
-		}
-	}
-	return 0
 }

@@ -16,34 +16,63 @@ import (
 	"tcppr/internal/workload"
 )
 
-// matrix declares one survival matrix: named axes crossed into cells,
-// each cell one simulation over the default single-host dumbbell. The
-// four *matrix.go files are declarations over runMatrix — a config, a
-// cell struct, a cell body and tables.
-type matrix struct {
-	// name is the experiment name: scope-name prefix and manifest
-	// Experiment.
+// sweep declares one experiment: typed axes crossed into cells, each cell
+// one simulation on the network its build wires. Every figure, ablation,
+// extension and survival matrix is a sweep run by runSweep; a declaration
+// says what a cell is, never how cells are enumerated, fanned out or
+// instrumented.
+type sweep[K any] struct {
+	// name is the experiment name: the manifests' Experiment.
 	name string
-	// axes are crossed outermost first; the last axis is the protocol.
-	axes []axis
-	// total is the simulated length of every cell.
-	total time.Duration
-	// seed is recorded in the manifests and split per cell.
+	// axes are crossed outermost first, the last one fastest. A cell's
+	// key K starts as the zero value and each axis sets its part.
+	axes []axis[K]
+	// d is every cell's window: it runs d.Warm+d.Measure of simulated
+	// time (build may lengthen the warm-up). Matrices measure the whole
+	// run: Durations{Measure: total}.
+	d Durations
+	// seed is split per cell into cell.Seed.
 	seed int64
-	// params are recorded in every cell's manifest.
-	params map[string]float64
-	obs    *runobs.Session
+	obs  *runobs.Session
+	// build wires a cell's network before its scope opens: whatever it
+	// schedules orders ahead of the sampler's first tick.
+	build func(c *cell[K]) world
+	// label names a cell's scope (the pinned artifact stem) and fills the
+	// manifest fields only the declaration knows; runSweep sets
+	// Experiment and Topology.
+	label func(k K) (scope string, f runobs.Fields)
 }
 
-// axis is one dimension of a matrix: the names to cross and the catalog
-// lookup that vouches for each (nil on the protocol axis, which is
-// checked against the workload registry).
-type axis struct {
-	names []string
-	known func(name string) error
+// axis is one typed dimension of a sweep: how many values it has, the
+// check that vouches for value i, and how value i lands in a cell key.
+type axis[K any] struct {
+	n     int
+	check func(i int) error
+	set   func(k *K, i int)
 }
 
-// catalog adapts a scenario-catalog lookup to axis.known.
+// along declares an axis over vals. known (nil: every value is valid)
+// vouches for each value before any cell runs.
+func along[K, T any](vals []T, known func(T) error, set func(k *K, v T)) axis[K] {
+	return axis[K]{
+		n: len(vals),
+		check: func(i int) error {
+			if known == nil {
+				return nil
+			}
+			return known(vals[i])
+		},
+		set: func(k *K, i int) { set(k, vals[i]) },
+	}
+}
+
+// names declares a survival-matrix axis: catalog names appended to the
+// cell key in axis order.
+func names(vals []string, known func(string) error) axis[[]string] {
+	return along(vals, known, func(k *[]string, v string) { *k = append(*k, v) })
+}
+
+// catalog adapts a scenario-catalog lookup to an axis check.
 func catalog[T any](byName func(string) (T, error)) func(string) error {
 	return func(name string) error {
 		_, err := byName(name)
@@ -51,86 +80,196 @@ func catalog[T any](byName func(string) (T, error)) func(string) error {
 	}
 }
 
-// matrixCell is what runMatrix hands a cell body: a fresh scheduler and
-// dumbbell, the open telemetry scope (bottleneck and R→L already
-// sampled), and the cell's place in the matrix.
-type matrixCell struct {
-	Sched *sim.Scheduler
-	DB    *topo.Dumbbell
-	// Rev is the bottleneck's reverse direction (R→L).
-	Rev   *netem.Link
-	Scope *runobs.Scope
-	// Key holds the cell's name on each axis, Key[len-1] the protocol.
-	Key []string
+// knownProtocol checks a protocol axis against the workload registry.
+func knownProtocol(experiment string) func(string) error {
+	return func(p string) error {
+		if !workload.Known(p) {
+			return fmt.Errorf("%s: unknown protocol %q", experiment, p)
+		}
+		return nil
+	}
+}
+
+// knownTopology checks a topology axis against the builders.
+func knownTopology(t string) error {
+	if t != "dumbbell" && t != "parkinglot" {
+		return fmt.Errorf("experiments: unknown topology %q", t)
+	}
+	return nil
+}
+
+// world is a cell's wired network: what its scope watches and its flows
+// attach to.
+type world struct {
+	// topology is the manifests' Topology.
+	topology string
+	net      *netem.Network
+	// slots are the host pairs flows attach between, in flow order.
+	slots []flowSlot
+	// bottlenecks are the links whose drops make the loss rate; rev is
+	// the dumbbell bottleneck's reverse direction (R→L).
+	bottlenecks []*netem.Link
+	rev         *netem.Link
+	// flows are measurement flows build already started (Fig 6 starts
+	// its flow ahead of the sampler's first tick).
+	flows []*workload.Flow
+}
+
+// flowSlot is one (source, destination) pair with its two routers.
+type flowSlot struct {
+	src, dst *netem.Node
+	fwd, rev routing.Router
+}
+
+// flow wires connection i+1 across slot i.
+func (w *world) flow(i int) *tcp.Flow {
+	s := w.slots[i]
+	return tcp.NewFlow(w.net, i+1, s.src, s.dst, s.fwd, s.rev)
+}
+
+// lossRate returns the aggregate drop fraction across the bottlenecks.
+func (w *world) lossRate() float64 {
+	var offered, dropped uint64
+	for _, l := range w.bottlenecks {
+		st := l.Stats()
+		offered += st.Enqueued + st.Dropped + st.REDDropped
+		dropped += st.Dropped + st.REDDropped
+	}
+	if offered == 0 {
+		return 0
+	}
+	return float64(dropped) / float64(offered)
+}
+
+// dumbbell builds a dumbbell, one slot per host pair.
+func dumbbell(sched *sim.Scheduler, cfg topo.DumbbellConfig) world {
+	d := topo.NewDumbbell(sched, cfg)
+	w := world{topology: "dumbbell", net: d.Net, bottlenecks: []*netem.Link{d.Bottleneck}, rev: d.Net.FindLink("R", "L")}
+	for i := 0; i < cfg.Hosts; i++ {
+		w.slots = append(w.slots, flowSlot{d.Src(i), d.Dst(i),
+			routing.Static{Path: d.FwdPath(i)}, routing.Static{Path: d.RevPath(i)}})
+	}
+	return w
+}
+
+// parkingLot builds the Fig 1 parking lot with n main host pairs and the
+// paper's six TCP-SACK cross-traffic connections already running.
+func parkingLot(sched *sim.Scheduler, n int) world {
+	p := topo.NewParkingLot(sched, n, 0)
+	w := world{topology: "parkinglot", net: p.Net, bottlenecks: []*netem.Link{
+		p.Net.FindLink("r1", "r2"), p.Net.FindLink("r2", "r3"), p.Net.FindLink("r3", "r4"),
+	}}
+	for i := 0; i < n; i++ {
+		w.slots = append(w.slots, flowSlot{p.Src(i), p.Dst(i),
+			routing.Static{Path: p.MainFwd(i)}, routing.Static{Path: p.MainRev(i)}})
+	}
+	for i, cp := range topo.CrossPairs() {
+		f := tcp.NewFlow(p.Net, 10_000+i, p.Net.Node(cp.Src), p.Net.Node(cp.Dst),
+			routing.Static{Path: p.CrossFwd(cp)}, routing.Static{Path: p.CrossRev(cp)})
+		workload.NewFlow(f, workload.TCPSACK, workload.PRParams{}, 0)
+	}
+	return w
+}
+
+// multipath builds the Fig 5 topology (three disjoint paths, delay per
+// link) with one slot whose routers spread packets by ε-routing, each
+// direction drawing from its own seeded stream.
+func multipath(sched *sim.Scheduler, delay time.Duration, eps float64, fwdSeed, revSeed int64) world {
+	m := topo.NewMultipath(sched, 3, delay)
+	return world{topology: "multipath", net: m.Net, slots: []flowSlot{{m.Src, m.Dst,
+		routing.NewEpsilon(m.FwdPaths, eps, sim.NewRand(fwdSeed)),
+		routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(revSeed))}}}
+}
+
+// cell is one simulation of a sweep, handed to build and then to the
+// declaration's body.
+type cell[K any] struct {
+	world
+	Key K
 	// Idx is the cell's 1-based position in enumeration order and Seed
-	// its own stream, sim.SplitSeed(matrix seed, Idx): adding or
+	// its own stream, sim.SplitSeed(sweep seed, Idx): adding or
 	// reordering cells never perturbs another cell's randomness.
-	Idx  int
-	Seed int64
+	Idx   int
+	Seed  int64
+	Sched *sim.Scheduler
+	Scope *runobs.Scope
+	// Warm ends the warm-up and Horizon the run.
+	Warm, Horizon time.Duration
 }
 
-// Flow wires the cell's one connection, host pair 0 across the bottleneck.
-func (c *matrixCell) Flow() *tcp.Flow {
-	return tcp.NewFlow(c.DB.Net, 1, c.DB.Src(0), c.DB.Dst(0),
-		routing.Static{Path: c.DB.FwdPath(0)}, routing.Static{Path: c.DB.RevPath(0)})
-}
-
-// runMatrix validates every axis name up front, then runs the cells in
-// enumeration order (last axis fastest) across the parallelMap worker
-// pool. The body sets its cell up and returns the function that collects
-// the outcome once the clock has run to m.total; runMatrix owns the
-// scheduler, the topology, the scope and its Finish.
-func runMatrix[C any](m matrix, body func(c *matrixCell) (collect func() C)) ([]C, error) {
+// runSweep validates every axis value up front, then runs the cells in
+// enumeration order across the parallelMap worker pool. For each cell it
+// builds the network, opens the scope, hands the cell to body, runs the
+// clock to the horizon, collects the outcome body returned the function
+// for, and finishes the scope. It returns the outcomes in enumeration
+// order and the first error any scope's Finish reported.
+func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([]C, error) {
 	n := 1
-	for i, ax := range m.axes {
-		for _, name := range ax.names {
-			if i < len(m.axes)-1 {
-				if err := ax.known(name); err != nil {
-					return nil, err
-				}
-			} else if !workload.Known(name) {
-				return nil, fmt.Errorf("%s: unknown protocol %q", m.name, name)
+	for _, ax := range s.axes {
+		for i := 0; i < ax.n; i++ {
+			if err := ax.check(i); err != nil {
+				return nil, err
 			}
 		}
-		n *= len(ax.names)
+		n *= ax.n
 	}
 	type outcome struct {
-		cell C
-		err  error
+		out C
+		err error
 	}
 	outs := parallelMap(n, func(i int) outcome {
-		key := make([]string, len(m.axes))
-		for a, rest := len(m.axes)-1, i; a >= 0; a-- {
-			names := m.axes[a].names
-			key[a] = names[rest%len(names)]
-			rest /= len(names)
+		c := &cell[K]{Idx: i + 1, Seed: sim.SplitSeed(s.seed, int64(i+1)), Sched: sim.NewScheduler(), Warm: s.d.Warm}
+		pos := make([]int, len(s.axes))
+		for a, rest := len(s.axes)-1, i; a >= 0; a-- {
+			pos[a], rest = rest%s.axes[a].n, rest/s.axes[a].n
 		}
-		sched := sim.NewScheduler()
-		db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-		c := &matrixCell{
-			Sched: sched, DB: db, Rev: db.Net.FindLink("R", "L"),
-			Scope: m.obs.Open(m.name+"_"+strings.Join(key, "_"), m.total, db.Net, sched),
-			Key:   key, Idx: i + 1, Seed: sim.SplitSeed(m.seed, int64(i+1)),
+		for a, ax := range s.axes {
+			ax.set(&c.Key, pos[a])
 		}
+		c.world = s.build(c)
+		c.Horizon = c.Warm + s.d.Measure
+		name, f := s.label(c.Key)
+		c.Scope = s.obs.Open(name, c.Horizon, c.net, c.Sched)
 		defer c.Scope.DumpOnPanic()
-		c.Scope.Links(db.Bottleneck, c.Rev)
 		collect := body(c)
-		sched.RunUntil(sim.Time(m.total))
+		c.Sched.RunUntil(c.Horizon)
 		out := collect()
-		err := c.Scope.Finish(runobs.Fields{
-			Experiment: m.name, Topology: "dumbbell", Variant: strings.Join(key, "/"),
-			Seed: m.seed, Params: m.params,
-		})
-		return outcome{out, err}
+		f.Experiment, f.Topology = s.name, c.topology
+		return outcome{out, c.Scope.Finish(f)}
 	})
 	cells := make([]C, n)
 	for i, o := range outs {
 		if o.err != nil {
 			return nil, o.err
 		}
-		cells[i] = o.cell
+		cells[i] = o.out
 	}
 	return cells, nil
+}
+
+// survival declares a survival matrix: catalog-named axes (the last the
+// protocol) over the single-host dumbbell, each cell run for total and
+// named <experiment>_<axes…>. Its body samples both bottleneck
+// directions first (c.Scope.Links(c.bottlenecks[0], c.rev)).
+func survival(name string, total time.Duration, seed int64, params map[string]float64, obs *runobs.Session, axes ...axis[[]string]) sweep[[]string] {
+	return sweep[[]string]{
+		name: name, axes: axes, d: Durations{Measure: total}, seed: seed, obs: obs,
+		build: func(c *cell[[]string]) world { return dumbbell(c.Sched, topo.DumbbellConfig{Hosts: 1}) },
+		label: func(k []string) (string, runobs.Fields) {
+			return name + "_" + strings.Join(k, "_"),
+				runobs.Fields{Variant: strings.Join(k, "/"), Seed: seed, Params: params}
+		},
+	}
+}
+
+// split cuts cells into consecutive groups of size each: one group per
+// value of the outermost axis.
+func split[C any](cells []C, size int) [][]C {
+	var out [][]C
+	for size > 0 && len(cells) >= size {
+		out, cells = append(out, cells[:size]), cells[size:]
+	}
+	return out
 }
 
 // meterCap is how many displacement-histogram buckets the reorder-metered
@@ -143,13 +282,13 @@ const meterCap = 16
 // cell's scope. Seq is the send index (packets, ns-2 style) and
 // retransmissions are excluded, the RFC 4737 convention trace.Recorder
 // uses — so behind a repair box the meter reads the residual reordering.
-func meterReordering(c *matrixCell, f *tcp.Flow) *stats.ReorderMeter {
+func meterReordering(sc *runobs.Scope, f *tcp.Flow) *stats.ReorderMeter {
 	meter := stats.NewReorderMeter(meterCap)
 	f.Hooks = tcp.FlowHooks{OnDataRecv: func(seg tcp.Seg, _ sim.Time) {
 		if !seg.Retx {
 			meter.Observe(seg.Seq)
 		}
 	}}.Chain(f.Hooks)
-	metrics.InstrumentReorder(c.Scope.Sampler(), c.Scope.Registry(), meter, "reorder")
+	metrics.InstrumentReorder(sc.Sampler(), sc.Registry(), meter, "reorder")
 	return meter
 }

@@ -15,26 +15,37 @@ import (
 	"tcppr/internal/workload"
 )
 
-// TestRunMatrixRejectsUnknownNamesUpFront: a bad name on any axis fails
-// the run before a single cell has been built.
+// TestRunMatrixRejectsUnknownNamesUpFront: a bad value on any checked
+// axis fails the run before a single cell has been built.
 func TestRunMatrixRejectsUnknownNamesUpFront(t *testing.T) {
 	good := netem.ReorderScenarioNames()
+	matrix := func(axes ...axis[[]string]) func(*atomic.Int64) error {
+		return func(built *atomic.Int64) error {
+			_, err := runSweep(survival("harness", time.Millisecond, 1, nil, nil, axes...),
+				func(*cell[[]string]) func() int { built.Add(1); return func() int { return 0 } })
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name    string
-		axes    []axis
+		run     func(built *atomic.Int64) error
 		wantErr string
 	}{
-		{"unknown row", []axis{{[]string{good[0], "no-such-model"}, catalog(netem.ReorderScenarioByName)},
-			{names: []string{workload.TCPPR}}}, "no-such-model"},
-		{"unknown protocol", []axis{{good, catalog(netem.ReorderScenarioByName)},
-			{names: []string{workload.TCPPR, "TCP-Bogus"}}}, `harness: unknown protocol "TCP-Bogus"`},
-		{"unknown middle axis", []axis{{netem.RepairScenarioNames(), catalog(netem.RepairScenarioByName)},
-			{[]string{"swap-high", "nope"}, catalog(netem.ReorderScenarioByName)},
-			{names: []string{workload.TCPPR}}}, "nope"},
+		{"unknown row", matrix(names([]string{good[0], "no-such-model"}, catalog(netem.ReorderScenarioByName)),
+			names([]string{workload.TCPPR}, knownProtocol("harness"))), "no-such-model"},
+		{"unknown protocol", matrix(names(good, catalog(netem.ReorderScenarioByName)),
+			names([]string{workload.TCPPR, "TCP-Bogus"}, knownProtocol("harness"))), `harness: unknown protocol "TCP-Bogus"`},
+		{"unknown middle axis", matrix(names(netem.RepairScenarioNames(), catalog(netem.RepairScenarioByName)),
+			names([]string{"swap-high", "nope"}, catalog(netem.ReorderScenarioByName)),
+			names([]string{workload.TCPPR}, knownProtocol("harness"))), "nope"},
+		{"unknown topology", func(built *atomic.Int64) error {
+			_, err := runSweep(fig2Sweep(Fig2Config{Topologies: []string{"dumbbell", "ring"}, FlowCounts: []int{4}, Durations: Quick}),
+				func(*cell[mixed]) func() int { built.Add(1); return func() int { return 0 } })
+			return err
+		}, `experiments: unknown topology "ring"`},
 	} {
 		var built atomic.Int64
-		_, err := runMatrix(matrix{name: "harness", axes: tc.axes, total: time.Millisecond, seed: 1},
-			func(*matrixCell) func() int { built.Add(1); return func() int { return 0 } })
+		err := tc.run(&built)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
 		}
@@ -57,14 +68,12 @@ func TestRunMatrixCellIdentity(t *testing.T) {
 		Seed int64
 	}
 	dir := t.TempDir()
-	cells, err := runMatrix(matrix{
-		name:  "reordermatrix",
-		axes:  []axis{{models, catalog(netem.ReorderScenarioByName)}, {names: protos}},
-		total: time.Millisecond, seed: seed,
-		obs: runobs.NewSession(runobs.Options{MetricsDir: dir}),
-	}, func(c *matrixCell) func() seen {
-		return func() seen { return seen{strings.Join(c.Key, "_"), c.Idx, c.Seed} }
-	})
+	cells, err := runSweep(survival("reordermatrix", time.Millisecond, seed, nil,
+		runobs.NewSession(runobs.Options{MetricsDir: dir}),
+		names(models, catalog(netem.ReorderScenarioByName)), names(protos, knownProtocol("reordermatrix"))),
+		func(c *cell[[]string]) func() seen {
+			return func() seen { return seen{strings.Join(c.Key, "_"), c.Idx, c.Seed} }
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +139,36 @@ func TestMatrixParallelismInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(filesOne, filesFour) {
 		t.Fatalf("file sets differ between 1 and 4 workers:\n%v\nvs\n%v", filesOne, filesFour)
+	}
+
+	// A figure through the same pool: fig2's declaration (its Smoke cell
+	// plus three more, so four workers have something to share) leaves
+	// byte-identical files — CSVs, series, manifests minus their
+	// wall-clock fields — and tables at 1 and 4 workers.
+	fig2 := func(workers int) map[string]string {
+		SetParallelism(workers)
+		defer SetParallelism(0)
+		dir := t.TempDir()
+		tables, err := RunFig2(Fig2Config{Topologies: []string{"dumbbell", "parkinglot"}, FlowCounts: []int{8, 4},
+			Durations: Durations{Warm: 2 * time.Second, Measure: 2 * time.Second},
+			Obs:       runobs.NewSession(runobs.Options{MetricsDir: dir, Check: true})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, tb := range tables {
+			if err := tb.Fprint(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if err := tb.WriteCSV(&sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sums := smokeSums(t, dir)
+		sums["tables"] = sha(sb.String())
+		return sums
+	}
+	if a, b := fig2(1), fig2(4); !reflect.DeepEqual(a, b) {
+		t.Fatalf("fig2 artifacts differ between 1 and 4 workers:\n%v\nvs\n%v", a, b)
 	}
 }

@@ -16,17 +16,22 @@ import (
 // exporters enabled must produce byte-identical results to the same cell
 // run bare.
 func TestMetricsDeterminism(t *testing.T) {
-	base := Fig2Config{Topology: "dumbbell", FlowCounts: []int{8}, Durations: Quick}
+	base := Fig2Config{Topologies: []string{"dumbbell"}, FlowCounts: []int{8}, Durations: Quick}
 
-	bare := RunFig2(base)
+	bare, err := runSweep(fig2Sweep(base), mixedCell)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	withMetrics := base
 	withMetrics.Obs = runobs.NewSession(runobs.Options{MetricsDir: t.TempDir()})
-	observed := RunFig2(withMetrics)
+	observed, err := runSweep(fig2Sweep(withMetrics), mixedCell)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if !reflect.DeepEqual(bare.Points, observed.Points) {
-		t.Fatalf("metrics changed simulation results:\nbare:     %+v\nobserved: %+v",
-			bare.Points, observed.Points)
+	if !reflect.DeepEqual(bare, observed) {
+		t.Fatalf("metrics changed simulation results:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}
 }
 
@@ -36,7 +41,9 @@ func TestMetricsDeterminism(t *testing.T) {
 func TestMetricsCellArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	mopts := runobs.NewSession(runobs.Options{MetricsDir: dir})
-	RunFig2(Fig2Config{Topology: "dumbbell", FlowCounts: []int{4}, Durations: Quick, Obs: mopts})
+	if _, err := RunFig2(Fig2Config{Topologies: []string{"dumbbell"}, FlowCounts: []int{4}, Durations: Quick, Obs: mopts}); err != nil {
+		t.Fatal(err)
+	}
 
 	man, err := metrics.ReadManifest(filepath.Join(dir, "fig2_dumbbell_n4.manifest.json"))
 	if err != nil {

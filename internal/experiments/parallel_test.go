@@ -44,26 +44,6 @@ func TestParallelMapPanicsPropagate(t *testing.T) {
 	})
 }
 
-func TestParallelResultsMatchSequential(t *testing.T) {
-	// The same Fig 6 configuration must yield identical results whether
-	// cells run in parallel or not (each cell owns its scheduler + RNGs).
-	cfg := Fig6Config{
-		Protocols: []string{"TCP-PR"},
-		Epsilons:  []float64{0, 500},
-		Durations: Durations{Warm: 5e9, Measure: 5e9},
-	}
-	a := RunFig6(cfg)
-	b := RunFig6(cfg)
-	if len(a.Points) != len(b.Points) {
-		t.Fatal("point counts differ")
-	}
-	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Errorf("run-to-run mismatch at %d: %+v vs %+v", i, a.Points[i], b.Points[i])
-		}
-	}
-}
-
 func TestParallelMapConcurrentWithSetParallelism(t *testing.T) {
 	// The CLI can flip -parallel between runs while tests already map in
 	// the background; the cap is read per parallelMap call, so concurrent

@@ -5,18 +5,18 @@ import (
 	"path/filepath"
 	"time"
 
+	"tcppr/internal/core"
 	"tcppr/internal/runobs"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
 // RunConfig is the shared configuration every registered experiment
-// accepts. It unifies the knobs the per-figure Run* functions grew
-// independently; each Spec maps the fields onto its underlying config and
-// ignores what does not apply (documented per field).
+// accepts; each spec maps the fields onto its declaration and ignores
+// what does not apply (documented per field).
 type RunConfig struct {
 	// Durations sets the simulated warm-up and measurement windows. The
-	// zero value selects Full, matching the per-figure configs.
+	// zero value selects Full.
 	Durations Durations
 	// Obs, when non-nil, is the run's telemetry session (internal/runobs):
 	// what it asks for — per-cell series and manifests plus a run
@@ -30,9 +30,10 @@ type RunConfig struct {
 	// per-point CSV files are written into, under the same file names the
 	// CLI has always used. Empty disables CSV output.
 	CSVDir string
-	// Seed overrides the experiment's default base seed where one exists
-	// (fig6, ext-door, faultmatrix); zero keeps the default. Experiments
-	// with hard-wired per-cell seed derivations ignore it.
+	// Seed overrides the base seed of the experiments that take one —
+	// fig6, ext-door, city and the fault, churn, reorder and repair
+	// matrices; zero keeps each one's default. The other experiments
+	// derive every cell's streams from fixed seeds and ignore it.
 	Seed int64
 	// Smoke trims sweep axes to one or two representative cells so every
 	// experiment finishes in test time. It changes which cells run, never
@@ -58,67 +59,58 @@ func (c RunConfig) durations() Durations {
 	return c.Durations
 }
 
-// topologies returns the topology sweep for the fig2/3/4 family.
-func (c RunConfig) topologies() []string {
+// short reports whether an absolute-time experiment (city, the matrices)
+// takes its shortened run: Quick and Smoke both ask for it.
+func (c RunConfig) short() bool { return c.Smoke || c.Durations == Quick }
+
+// trim returns an axis's (or a size's) smoke value under Smoke and its
+// full one otherwise.
+func trim[T any](c RunConfig, full, smoke T) T {
 	if c.Smoke {
-		return []string{"dumbbell"}
+		return smoke
 	}
-	return []string{"dumbbell", "parkinglot"}
-}
-
-// CSVFile is one raw-data export of a Report: the file name the CLI
-// writes (no directory) and the table holding the rows.
-type CSVFile struct {
-	Name  string
-	Table *Table
-}
-
-// Report is the outcome of one registered experiment run: the printable
-// result tables, in display order. Its raw per-point CSV exports are
-// already written to RunConfig.CSVDir when that was set.
-type Report interface {
-	Tables() []*Table
-}
-
-// report is the concrete Report every Spec returns.
-type report struct {
-	tables []*Table
-	csvs   []CSVFile
-}
-
-func (r report) Tables() []*Table { return r.tables }
-
-// finish completes a spec run: surface a failed export or any invariant
-// violation as the run's error, write the metrics aggregate and the CSV
-// exports, and hand the report back.
-func (r report) finish(cfg RunConfig, name string) (Report, error) {
-	if err := cfg.Obs.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if err := cfg.Obs.WriteAggregate(name); err != nil {
-		return nil, fmt.Errorf("%s: aggregate: %w", name, err)
-	}
-	if cfg.CSVDir != "" {
-		for _, f := range r.csvs {
-			if err := runobs.WriteFile(filepath.Join(cfg.CSVDir, f.Name), f.Table.WriteCSV); err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-		}
-	}
-	return r, nil
+	return full
 }
 
 // Spec is one registered experiment: a stable CLI name, a one-line
-// description, and a runner accepting the unified RunConfig.
+// description, and its declaration run under a RunConfig.
 type Spec struct {
 	Name     string
 	Describe string
-	Run      func(RunConfig) (Report, error)
+	run      func(RunConfig) ([]*Table, error)
+}
+
+// Run runs the experiment, writes the metrics aggregate and the CSV
+// exports, and returns the tables to print in display order. An export
+// failure or any invariant violation is the run's error.
+func (s Spec) Run(cfg RunConfig) ([]*Table, error) {
+	tables, err := s.run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Obs.Err(); err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Name, err)
+	}
+	if err := cfg.Obs.WriteAggregate(s.Name); err != nil {
+		return nil, fmt.Errorf("%s: aggregate: %w", s.Name, err)
+	}
+	var printed []*Table
+	for _, t := range tables {
+		if cfg.CSVDir != "" && t.csv != "" {
+			if err := runobs.WriteFile(filepath.Join(cfg.CSVDir, t.csv), t.WriteCSV); err != nil {
+				return nil, fmt.Errorf("%s: %w", s.Name, err)
+			}
+		}
+		if !t.quiet {
+			printed = append(printed, t)
+		}
+	}
+	return printed, nil
 }
 
 // Registry returns the experiment specs in display order — the paper's
-// figures first, then the ablations, extensions, and the fault matrix.
-// The slice is freshly allocated; callers may reorder it.
+// figures first, then the ablations, extensions, and the matrices. The
+// slice is freshly allocated; callers may reorder it.
 func Registry() []Spec {
 	return append([]Spec(nil), specs...)
 }
@@ -142,331 +134,156 @@ func Names() []string {
 	return out
 }
 
+// topologies is the fig2/3/4 topology sweep.
+var topologies = []string{"dumbbell", "parkinglot"}
+
+// specs is the registry: each row's run maps RunConfig onto one
+// declaration, its full axes and its Smoke cells.
 var specs = []Spec{
-	{
-		Name:     "fig2",
-		Describe: "Fig 2 fairness: TCP-PR vs TCP-SACK normalized throughput across flow counts",
-		Run: func(cfg RunConfig) (Report, error) {
-			var rep report
-			for _, topology := range cfg.topologies() {
-				c := Fig2Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
-				if cfg.Smoke {
-					c.FlowCounts = []int{8}
-				}
-				res := RunFig2(c)
-				rep.tables = append(rep.tables, res.Table())
-				rep.csvs = append(rep.csvs, CSVFile{"fig2_" + topology + ".csv", res.PerFlowTable()})
+	{"fig2", "Fig 2 fairness: TCP-PR vs TCP-SACK normalized throughput across flow counts",
+		func(c RunConfig) ([]*Table, error) {
+			return RunFig2(Fig2Config{
+				Topologies: trim(c, topologies, topologies[:1]),
+				FlowCounts: trim(c, []int{4, 8, 16, 32, 48, 64}, []int{8}),
+				Durations:  c.durations(), Obs: c.Obs,
+			})
+		}},
+	{"fig3", "Fig 3 CoV of throughput vs loss rate, repeated over seeds",
+		func(c RunConfig) ([]*Table, error) {
+			return RunFig3(Fig3Config{
+				Topologies:     trim(c, topologies, topologies[:1]),
+				BandwidthsMbps: trim(c, []float64{10, 7, 5, 3.5, 2.5, 1.8}, []float64{10}),
+				Flows:          trim(c, 16, 8), Seeds: trim(c, 10, 1),
+				Durations: c.durations(), Obs: c.Obs,
+			})
+		}},
+	{"fig4", "Fig 4 alpha/beta sensitivity grid against TCP-SACK",
+		func(c RunConfig) ([]*Table, error) {
+			alphas := trim(c, []float64{0.3, 0.6, 0.9, 0.995}, []float64{0.995})
+			betas := trim(c, []float64{1, 2, 3, 5, 10}, []float64{3})
+			cells, err := runSweep(fig4Sweep(trim(c, topologies, topologies[:1]), alphas, betas,
+				trim(c, 64, 8), c.durations(), c.Obs), mixedCell)
+			return fig4Tables(cells, len(alphas)*len(betas)), err
+		}},
+	{"fig6", "Fig 6 multipath comparison across protocols, epsilons, and link delays",
+		func(c RunConfig) ([]*Table, error) {
+			cfg := Fig6Config{
+				Protocols:  trim(c, workload.Fig6Protocols(), []string{workload.TCPPR, workload.TCPSACK}),
+				Epsilons:   trim(c, []float64{0, 1, 4, 10, 500}, []float64{1}),
+				LinkDelays: trim(c, []time.Duration{10 * time.Millisecond, 60 * time.Millisecond}, []time.Duration{10 * time.Millisecond}),
+				Durations:  c.durations(), Seed: c.Seed, Obs: c.Obs,
 			}
-			return rep.finish(cfg, "fig2")
-		},
-	},
-	{
-		Name:     "fig3",
-		Describe: "Fig 3 CoV of throughput vs loss rate, repeated over seeds",
-		Run: func(cfg RunConfig) (Report, error) {
-			var rep report
-			for _, topology := range cfg.topologies() {
-				c := Fig3Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
-				if cfg.Smoke {
-					c.BandwidthsMbps = []float64{10}
-					c.Seeds = 1
-					c.Flows = 8
-				}
-				res := RunFig3(c)
-				rep.tables = append(rep.tables, res.MeanTable())
-				rep.csvs = append(rep.csvs, CSVFile{"fig3_" + topology + ".csv", res.Table()})
+			points, err := RunFig6(cfg)
+			return fig6Tables(cfg, points), err
+		}},
+	{"ablation-beta", "Ablation: beta under heavy loss (the paper's §4 note)",
+		func(c RunConfig) ([]*Table, error) {
+			return ablationBeta(trim(c, []float64{1, 2, 3, 5, 10}, []float64{3}), trim(c, 16, 8), c.durations(), c.Obs)
+		}},
+	{"ablation-memorize", "Ablation: memorize list on vs off under burst loss",
+		func(c RunConfig) ([]*Table, error) {
+			return ablationBurst("ablation-memorize", "Ablation: memorize list (single flow, lossy dumbbell)", c.durations(), c.Obs,
+				burstVariant{"memorize (paper)", core.Config{}}, burstVariant{"no memorize", core.Config{DisableMemorize: true}})
+		}},
+	{"ablation-sendcwnd", "Ablation: halve from send-time cwnd vs current cwnd",
+		func(c RunConfig) ([]*Table, error) {
+			return ablationBurst("ablation-sendcwnd", "Ablation: halve from send-time cwnd vs current cwnd", c.durations(), c.Obs,
+				burstVariant{"cwnd at send time (paper)", core.Config{}}, burstVariant{"current cwnd", core.Config{HalveFromCurrentCwnd: true}})
+		}},
+	{"ablation-holemode", "Ablation: hole-handling policy while the cumulative ACK is frozen",
+		func(c RunConfig) ([]*Table, error) { return ablationHoleMode(c.durations(), c.Obs) }},
+	{"ext-threshold", "Extension: loss-detection threshold sweep over a recorded trace",
+		func(c RunConfig) ([]*Table, error) { return thresholdSweep(c.durations(), c.Obs) }},
+	{"ext-reorder", "Extension: how much reordering each epsilon actually produces",
+		func(c RunConfig) ([]*Table, error) { return reorderProfile(c.durations(), c.Obs) }},
+	{"ext-robustness", "Extension: goodput under ACK loss, delayed ACKs, jitter, and RED",
+		func(c RunConfig) ([]*Table, error) { return robustness(c.durations(), c.Obs) }},
+	{"ext-door", "Extension: Fig 6 protocol set plus TCP-DOOR and Eifel",
+		func(c RunConfig) ([]*Table, error) {
+			cfg := Fig6Config{
+				Protocols:  trim(c, append(workload.Fig6Protocols(), workload.TCPDOOR, workload.Eifel), []string{workload.TCPDOOR, workload.Eifel}),
+				Epsilons:   trim(c, []float64{0, 1, 4, 10, 500}, []float64{1}),
+				LinkDelays: []time.Duration{10 * time.Millisecond},
+				Durations:  c.durations(), Seed: c.Seed, Obs: c.Obs,
 			}
-			return rep.finish(cfg, "fig3")
-		},
-	},
-	{
-		Name:     "fig4",
-		Describe: "Fig 4 alpha/beta sensitivity grid against TCP-SACK",
-		Run: func(cfg RunConfig) (Report, error) {
-			var rep report
-			for _, topology := range cfg.topologies() {
-				c := Fig4Config{Topology: topology, Durations: cfg.durations(), Obs: cfg.Obs}
-				if cfg.Smoke {
-					c.Alphas = []float64{0.995}
-					c.Betas = []float64{3}
-					c.Flows = 8
-				}
-				res := RunFig4(c)
-				rep.tables = append(rep.tables, res.Table())
-				rep.csvs = append(rep.csvs, CSVFile{"fig4_" + topology + ".csv", res.Table()})
+			points, err := runFig6("ext-door", cfg)
+			tables := fig6Tables(cfg, points)
+			for _, t := range tables {
+				t.Title, t.csv = "Extension: Fig 6 protocol set + TCP-DOOR + Eifel (10 ms links)", "ext_door.csv"
 			}
-			return rep.finish(cfg, "fig4")
-		},
-	},
-	{
-		Name:     "fig6",
-		Describe: "Fig 6 multipath comparison across protocols, epsilons, and link delays",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := Fig6Config{Durations: cfg.durations(), Seed: cfg.Seed, Obs: cfg.Obs}
-			if cfg.Smoke {
-				c.Protocols = []string{workload.TCPPR, workload.TCPSACK}
-				c.Epsilons = []float64{1}
-				c.LinkDelays = []time.Duration{10 * time.Millisecond}
+			return tables, err
+		}},
+	{"city", "Sharded-city scaling: sim-s/wall-s of the parallel engine at 1 vs 4 shards",
+		func(c RunConfig) ([]*Table, error) {
+			cfg := CityConfig{
+				City:        topo.CityConfig{Districts: 8, HostsPerDistrict: 16},
+				ShardCounts: []int{1, 4}, Seed: c.Seed, Horizon: 3 * time.Second, SourcesPerHost: 4, Obs: c.Obs,
 			}
-			res := RunFig6(c)
-			var rep report
-			for i, t := range res.Table() {
-				rep.tables = append(rep.tables, t)
-				rep.csvs = append(rep.csvs, CSVFile{fmt.Sprintf("fig6_delay%d.csv", i), t})
+			if cfg.Seed == 0 {
+				cfg.Seed = 42
 			}
-			return rep.finish(cfg, "fig6")
-		},
-	},
-	{
-		Name:     "ablation-beta",
-		Describe: "Ablation: beta under heavy loss (the paper's §4 note)",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := AblationBetaConfig{Durations: cfg.durations(), Obs: cfg.Obs}
-			if cfg.Smoke {
-				c.Betas = []float64{3}
-				c.Flows = 8
+			if c.short() {
+				cfg.City, cfg.Horizon, cfg.SourcesPerHost, cfg.ShardCounts = topo.CityConfig{Districts: 4, HostsPerDistrict: 4}, time.Second, 1, []int{1, 2}
 			}
-			res := RunAblationBeta(c)
-			rep := report{
-				tables: []*Table{res.Table()},
-				csvs:   []CSVFile{{"ablation_beta.csv", res.Table()}},
+			if c.Shards > 0 {
+				cfg.ShardCounts = []int{c.Shards}
 			}
-			return rep.finish(cfg, "ablation-beta")
-		},
-	},
-	{
-		Name:     "ablation-memorize",
-		Describe: "Ablation: memorize list on vs off under burst loss",
-		Run: func(cfg RunConfig) (Report, error) {
-			res := RunAblationMemorize(cfg.durations(), cfg.Obs)
-			rep := report{tables: []*Table{
-				res.Table("Ablation: memorize list (single flow, lossy dumbbell)"),
-			}}
-			return rep.finish(cfg, "ablation-memorize")
-		},
-	},
-	{
-		Name:     "ablation-sendcwnd",
-		Describe: "Ablation: halve from send-time cwnd vs current cwnd",
-		Run: func(cfg RunConfig) (Report, error) {
-			res := RunAblationSendCwnd(cfg.durations(), cfg.Obs)
-			rep := report{tables: []*Table{
-				res.Table("Ablation: halve from send-time cwnd vs current cwnd"),
-			}}
-			return rep.finish(cfg, "ablation-sendcwnd")
-		},
-	},
-	{
-		Name:     "ablation-holemode",
-		Describe: "Ablation: hole-handling policy while the cumulative ACK is frozen",
-		Run: func(cfg RunConfig) (Report, error) {
-			rep := report{tables: []*Table{RunAblationHoleMode(cfg.durations(), cfg.Obs)}}
-			return rep.finish(cfg, "ablation-holemode")
-		},
-	},
-	{
-		Name:     "ext-threshold",
-		Describe: "Extension: loss-detection threshold sweep over a recorded trace",
-		Run: func(cfg RunConfig) (Report, error) {
-			t := RunThresholdSweep(cfg.durations(), cfg.Obs)
-			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"ext_threshold.csv", t}}}
-			return rep.finish(cfg, "ext-threshold")
-		},
-	},
-	{
-		Name:     "ext-reorder",
-		Describe: "Extension: how much reordering each epsilon actually produces",
-		Run: func(cfg RunConfig) (Report, error) {
-			t := ReorderTable(RunReorderProfile(cfg.durations(), 0, cfg.Obs))
-			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"ext_reorder.csv", t}}}
-			return rep.finish(cfg, "ext-reorder")
-		},
-	},
-	{
-		Name:     "ext-robustness",
-		Describe: "Extension: goodput under ACK loss, delayed ACKs, jitter, and RED",
-		Run: func(cfg RunConfig) (Report, error) {
-			res := RunRobustness(cfg.durations(), cfg.Obs)
-			rep := report{
-				tables: []*Table{res.Table()},
-				csvs:   []CSVFile{{"ext_robustness.csv", res.Table()}},
+			res, err := RunCityScaling(cfg)
+			return []*Table{res.Table()}, err
+		}},
+	{"faultmatrix", "Survival matrix: every protocol against every scripted fault scenario",
+		func(c RunConfig) ([]*Table, error) {
+			// The matrices measure absolute simulated time, not a
+			// warm/measure split; Quick and Smoke map to their shortened
+			// runs.
+			cfg := FaultMatrixConfig{Seed: c.Seed, Obs: c.Obs}
+			if c.short() {
+				cfg.Total, cfg.FaultAt = 20*time.Second, 3*time.Second
 			}
-			return rep.finish(cfg, "ext-robustness")
-		},
-	},
-	{
-		Name:     "ext-door",
-		Describe: "Extension: Fig 6 protocol set plus TCP-DOOR and Eifel",
-		Run: func(cfg RunConfig) (Report, error) {
-			var res Fig6Result
-			if cfg.Smoke {
-				res = RunFig6(Fig6Config{
-					Protocols:  []string{workload.TCPDOOR, workload.Eifel},
-					Epsilons:   []float64{1},
-					LinkDelays: []time.Duration{10 * time.Millisecond},
-					Durations:  cfg.durations(),
-					Seed:       cfg.Seed,
-					Obs:        cfg.Obs,
-					experiment: "ext-door",
-				})
-			} else {
-				res = RunExtComparison(cfg.durations(), cfg.Obs)
-			}
-			var rep report
-			for _, t := range res.Table() {
-				t.Title = "Extension: Fig 6 protocol set + TCP-DOOR + Eifel (10 ms links)"
-				rep.tables = append(rep.tables, t)
-				rep.csvs = append(rep.csvs, CSVFile{"ext_door.csv", t})
-			}
-			return rep.finish(cfg, "ext-door")
-		},
-	},
-	{
-		Name:     "city",
-		Describe: "Sharded-city scaling: sim-s/wall-s of the parallel engine at 1 vs 4 shards",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := CityConfig{
-				City:           topo.CityConfig{Districts: 8, HostsPerDistrict: 16},
-				ShardCounts:    []int{1, 4},
-				Seed:           cfg.Seed,
-				Horizon:        3 * time.Second,
-				SourcesPerHost: 4,
-				Obs:            cfg.Obs,
-			}
-			if c.Seed == 0 {
-				c.Seed = 42
-			}
-			if cfg.Smoke || cfg.Durations == Quick {
-				c.City = topo.CityConfig{Districts: 4, HostsPerDistrict: 4}
-				c.Horizon = time.Second
-				c.SourcesPerHost = 1
-				c.ShardCounts = []int{1, 2}
-			}
-			if cfg.Shards > 0 {
-				c.ShardCounts = []int{cfg.Shards}
-			}
-			res, err := RunCityScaling(c)
-			if err != nil {
-				return nil, err
-			}
-			t := res.Table()
-			rep := report{tables: []*Table{t}, csvs: []CSVFile{{"city_scaling.csv", t}}}
-			return rep.finish(cfg, "city")
-		},
-	},
-	{
-		Name:     "faultmatrix",
-		Describe: "Survival matrix: every protocol against every scripted fault scenario",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := FaultMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
-			// The fault matrix measures absolute simulated time, not a
-			// warm/measure split; Quick (and Smoke) map to its shortened
-			// run the CLI's -quick always used.
-			if cfg.Smoke || cfg.Durations == Quick {
-				c.Total = 20 * time.Second
-				c.FaultAt = 3 * time.Second
-			}
-			res, err := RunFaultMatrix(c)
-			if err != nil {
-				return nil, err
-			}
-			rep := report{
-				tables: []*Table{res.Table()},
-				csvs:   []CSVFile{{"faultmatrix.csv", res.Table()}},
-			}
-			return rep.finish(cfg, "faultmatrix")
-		},
-	},
-	{
-		Name:     "churnmatrix",
-		Describe: "Endpoint-churn matrix: retrying workloads against host blip/reboot/flap/death",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := ChurnMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
-			// Like the fault matrix, this measures absolute simulated
-			// time; Quick/Smoke trim the run and the protocol set.
-			if cfg.Smoke || cfg.Durations == Quick {
+			res, err := RunFaultMatrix(cfg)
+			return []*Table{res.Table()}, err
+		}},
+	{"churnmatrix", "Endpoint-churn matrix: retrying workloads against host blip/reboot/flap/death",
+		func(c RunConfig) ([]*Table, error) {
+			cfg := ChurnMatrixConfig{Seed: c.Seed, Obs: c.Obs}
+			if c.short() {
 				// 90s covers the worst double-cold abort ladder for TCP-PR
 				// (~FaultAt + one ~39s cold ladder per attempt plus backoff),
 				// so the host-dead column shows real give-ups.
-				c.Total = 90 * time.Second
-				c.FaultAt = 3 * time.Second
-				c.Protocols = []string{workload.TCPPR, workload.TCPSACK, workload.NewReno}
+				cfg.Total, cfg.FaultAt = 90*time.Second, 3*time.Second
+				cfg.Protocols = []string{workload.TCPPR, workload.TCPSACK, workload.NewReno}
 			}
-			res, err := RunChurnMatrix(c)
-			if err != nil {
-				return nil, err
+			res, err := RunChurnMatrix(cfg)
+			return []*Table{res.Table(), res.EventsTable()}, err
+		}},
+	{"reordermatrix", "Reordering survival matrix: every protocol against every canned reorder model",
+		func(c RunConfig) ([]*Table, error) {
+			// Smoke also trims the protocol axis to the headline comparison
+			// (TCP-PR vs the dupack-threshold baselines the swap models
+			// punish).
+			cfg := ReorderMatrixConfig{Seed: c.Seed, Obs: c.Obs,
+				Protocols: trim(c, nil, []string{workload.TCPPR, workload.NewReno, workload.TDFR})}
+			if c.short() {
+				cfg.Total = 12 * time.Second
 			}
-			rep := report{
-				tables: []*Table{res.Table()},
-				csvs: []CSVFile{
-					{"churnmatrix.csv", res.Table()},
-					{"churnmatrix_events.csv", res.EventsTable()},
-				},
+			res, err := RunReorderMatrix(cfg)
+			return []*Table{res.Table(), res.DisplacementTable()}, err
+		}},
+	{"repairmatrix", "Repair-middlebox matrix: reorder models × repair boxes × every protocol",
+		func(c RunConfig) ([]*Table, error) {
+			// Smoke also trims the protocol and model axes to the headline
+			// comparison (the swap model punishes dupack-threshold senders
+			// hardest, so it shows the repair effect most clearly).
+			cfg := RepairMatrixConfig{Seed: c.Seed, Obs: c.Obs,
+				Protocols: trim(c, nil, []string{workload.TCPPR, workload.NewReno, workload.TCPSACK}),
+				Models:    trim(c, nil, []string{"swap-high"})}
+			if c.short() {
+				cfg.Total = 12 * time.Second
 			}
-			return rep.finish(cfg, "churnmatrix")
-		},
-	},
-	{
-		Name:     "reordermatrix",
-		Describe: "Reordering survival matrix: every protocol against every canned reorder model",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := ReorderMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
-			// Absolute simulated time, like the other matrices. Quick and
-			// Smoke trim the run; Smoke also trims the protocol axis to
-			// the headline comparison (TCP-PR vs the dupack-threshold
-			// baselines the swap models punish).
-			if cfg.Smoke || cfg.Durations == Quick {
-				c.Total = 12 * time.Second
+			if c.Repair != "" {
+				cfg.Boxes = []string{c.Repair}
 			}
-			if cfg.Smoke {
-				c.Protocols = []string{workload.TCPPR, workload.NewReno, workload.TDFR}
-			}
-			res, err := RunReorderMatrix(c)
-			if err != nil {
-				return nil, err
-			}
-			rep := report{
-				tables: []*Table{res.Table(), res.DisplacementTable()},
-				csvs: []CSVFile{
-					{"reordermatrix.csv", res.Table()},
-					{"reordermatrix_displacement.csv", res.DisplacementTable()},
-				},
-			}
-			return rep.finish(cfg, "reordermatrix")
-		},
-	},
-	{
-		Name:     "repairmatrix",
-		Describe: "Repair-middlebox matrix: reorder models × repair boxes × every protocol",
-		Run: func(cfg RunConfig) (Report, error) {
-			c := RepairMatrixConfig{Seed: cfg.Seed, Obs: cfg.Obs}
-			// Absolute simulated time, like the other matrices. Quick and
-			// Smoke trim the run; Smoke also trims the protocol and model
-			// axes to the headline comparison (the swap model punishes
-			// dupack-threshold senders hardest, so it shows the repair
-			// effect most clearly).
-			if cfg.Smoke || cfg.Durations == Quick {
-				c.Total = 12 * time.Second
-			}
-			if cfg.Smoke {
-				c.Protocols = []string{workload.TCPPR, workload.NewReno, workload.TCPSACK}
-				c.Models = []string{"swap-high"}
-			}
-			if cfg.Repair != "" {
-				c.Boxes = []string{cfg.Repair}
-			}
-			res, err := RunRepairMatrix(c)
-			if err != nil {
-				return nil, err
-			}
-			rep := report{
-				tables: []*Table{res.Table(), res.DetailTable()},
-				csvs: []CSVFile{
-					{"repairmatrix.csv", res.Table()},
-					{"repairmatrix_detail.csv", res.DetailTable()},
-				},
-			}
-			return rep.finish(cfg, "repairmatrix")
-		},
-	},
+			res, err := RunRepairMatrix(cfg)
+			return []*Table{res.Table(), res.DetailTable()}, err
+		}},
 }

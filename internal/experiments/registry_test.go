@@ -49,7 +49,7 @@ func TestRegistryLookup(t *testing.T) {
 		if s.Describe == "" {
 			t.Errorf("spec %q has no description", name)
 		}
-		if s.Run == nil {
+		if s.run == nil {
 			t.Fatalf("spec %q has no runner", name)
 		}
 	}
@@ -77,7 +77,7 @@ const smokePinPath = "../../results/registry_smoke.sha256"
 
 // TestRegistryRoundTrip runs every registered experiment end to end under
 // Quick durations with Smoke trimming and checks each produces a non-empty
-// Report and writes its advertised CSV files. CheckInvariants is on, so
+// table set and writes its advertised CSV files. CheckInvariants is on, so
 // this doubles as the conformance gate: a single oracle violation in any
 // cell of any experiment fails the round trip.
 //
@@ -104,12 +104,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			rep, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true,
+			tables, err := spec.Run(RunConfig{Durations: Quick, CSVDir: dir, Smoke: true,
 				Obs: runobs.NewSession(runobs.Options{Check: true, MetricsDir: dir})})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			tables := rep.Tables()
 			if len(tables) == 0 {
 				t.Fatal("report has no tables")
 			}
@@ -130,13 +129,16 @@ func TestRegistryRoundTrip(t *testing.T) {
 				}
 				printed.WriteString(sb.String())
 			}
-			for _, f := range rep.(report).csvs {
-				data, err := os.ReadFile(filepath.Join(dir, f.Name))
+			for _, tb := range tables {
+				if tb.csv == "" {
+					continue
+				}
+				data, err := os.ReadFile(filepath.Join(dir, tb.csv))
 				if err != nil {
-					t.Fatalf("CSV %s not written: %v", f.Name, err)
+					t.Fatalf("CSV %s not written: %v", tb.csv, err)
 				}
 				if len(data) == 0 {
-					t.Errorf("CSV %s is empty", f.Name)
+					t.Errorf("CSV %s is empty", tb.csv)
 				}
 			}
 			sums := smokeSums(t, dir)
@@ -290,29 +292,33 @@ func writeSmokePin(t *testing.T, got map[string]map[string]string) {
 }
 
 // TestRegistrySeedChangesFig6 checks the Seed field actually reaches the
-// underlying experiment config.
+// underlying declaration, in Smoke and in the full ext-door run (quick
+// windows, which once ran seed 42 whatever -seed said).
 func TestRegistrySeedChangesFig6(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig6 twice; skipped in -short mode")
+		t.Skip("runs fig6 and ext-door twice each; skipped in -short mode")
 	}
-	run := func(seed int64) string {
-		spec, _ := Lookup("fig6")
-		rep, err := spec.Run(RunConfig{Durations: Quick, Seed: seed, Smoke: true})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		var sb strings.Builder
-		for _, tb := range rep.Tables() {
-			if err := tb.Fprint(&sb); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		smoke bool
+	}{{"fig6", true}, {"ext-door", false}} {
+		run := func(seed int64) string {
+			spec, _ := Lookup(tc.name)
+			tables, err := spec.Run(RunConfig{Durations: Quick, Seed: seed, Smoke: tc.smoke})
+			if err != nil {
+				t.Fatalf("%s: Run: %v", tc.name, err)
 			}
+			var sb strings.Builder
+			for _, tb := range tables {
+				if err := tb.Fprint(&sb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return sb.String()
 		}
-		return sb.String()
-	}
-	a := run(1)
-	b := run(2)
-	if a == b {
-		t.Fatal("fig6 tables identical under different seeds; Seed not plumbed")
+		if run(1) == run(2) {
+			t.Errorf("%s tables identical under different seeds; Seed not plumbed", tc.name)
+		}
 	}
 }
 

@@ -97,31 +97,27 @@ type ReorderMatrixResult struct {
 // matrix, model-major in the configured order.
 func RunReorderMatrix(cfg ReorderMatrixConfig) (ReorderMatrixResult, error) {
 	cfg.fill()
-	cells, err := runMatrix(matrix{
-		name:   "reordermatrix",
-		axes:   []axis{{cfg.Models, catalog(netem.ReorderScenarioByName)}, {names: cfg.Protocols}},
-		total:  cfg.Total,
-		seed:   cfg.Seed,
-		params: map[string]float64{"meter_cap": meterCap},
-		obs:    cfg.Obs,
-	}, func(c *matrixCell) func() ReorderMatrixCell { return reorderCell(c, cfg) })
+	cells, err := runSweep(survival("reordermatrix", cfg.Total, cfg.Seed, map[string]float64{"meter_cap": meterCap}, cfg.Obs,
+		names(cfg.Models, catalog(netem.ReorderScenarioByName)), names(cfg.Protocols, knownProtocol("reordermatrix"))),
+		func(c *cell[[]string]) func() ReorderMatrixCell { return reorderCell(c, cfg) })
 	return ReorderMatrixResult{Cells: cells, Config: cfg}, err
 }
 
 // reorderCell sets up one protocol's long-lived flow against one reorder
 // model on the bottleneck's data direction.
-func reorderCell(c *matrixCell, cfg ReorderMatrixConfig) func() ReorderMatrixCell {
-	sc, _ := netem.ReorderScenarioByName(c.Key[0]) // runMatrix vouched for the name
+func reorderCell(c *cell[[]string], cfg ReorderMatrixConfig) func() ReorderMatrixCell {
+	sc, _ := netem.ReorderScenarioByName(c.Key[0]) // runSweep vouched for the name
 	proto := c.Key[1]
+	c.Scope.Links(c.bottlenecks[0], c.rev)
 	if model := sc.New(sim.NewRand(c.Seed)); model != nil {
-		c.DB.Bottleneck.SetReorderModel(model)
+		c.bottlenecks[0].SetReorderModel(model)
 	}
-	f := c.Flow()
-	meter := meterReordering(c, f)
+	f := c.flow(0)
+	meter := meterReordering(c.Scope, f)
 	c.Scope.Flows(workload.NewFlow(f, proto, workload.PRParams{}, 0))
 
 	return func() ReorderMatrixCell {
-		st := c.DB.Bottleneck.Stats()
+		st := c.bottlenecks[0].Stats()
 		return ReorderMatrixCell{
 			Model:        sc.Name,
 			Protocol:     proto,
@@ -147,6 +143,7 @@ func (r ReorderMatrixResult) Table() *Table {
 			r.Config.Total),
 		Header: []string{"model", "protocol", "goodput (Mbps)", "retx segs",
 			"reorder rate", "footrule", "k-bound", "late"},
+		csv: "reordermatrix.csv",
 	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Model, c.Protocol, f2(c.GoodputMbps), fmt.Sprintf("%d", c.RetxSegs),
@@ -163,6 +160,7 @@ func (r ReorderMatrixResult) DisplacementTable() *Table {
 	t := &Table{
 		Title:  "Reordering displacement distribution (late arrivals by positions displaced)",
 		Header: []string{"model", "protocol", "displacement", "count"},
+		csv:    "reordermatrix_displacement.csv",
 	}
 	for _, c := range r.Cells {
 		for d, n := range c.Hist {

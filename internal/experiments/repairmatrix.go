@@ -107,17 +107,11 @@ type RepairMatrixResult struct {
 // matrix, box-major then model-major in the configured order.
 func RunRepairMatrix(cfg RepairMatrixConfig) (RepairMatrixResult, error) {
 	cfg.fill()
-	cells, err := runMatrix(matrix{
-		name: "repairmatrix",
-		axes: []axis{
-			{cfg.Boxes, catalog(netem.RepairScenarioByName)},
-			{cfg.Models, catalog(netem.ReorderScenarioByName)},
-			{names: cfg.Protocols},
-		},
-		total: cfg.Total,
-		seed:  cfg.Seed,
-		obs:   cfg.Obs,
-	}, func(c *matrixCell) func() RepairMatrixCell { return repairCell(c, cfg) })
+	cells, err := runSweep(survival("repairmatrix", cfg.Total, cfg.Seed, nil, cfg.Obs,
+		names(cfg.Boxes, catalog(netem.RepairScenarioByName)),
+		names(cfg.Models, catalog(netem.ReorderScenarioByName)),
+		names(cfg.Protocols, knownProtocol("repairmatrix"))),
+		func(c *cell[[]string]) func() RepairMatrixCell { return repairCell(c, cfg) })
 	return RepairMatrixResult{Cells: cells, Config: cfg}, err
 }
 
@@ -125,19 +119,20 @@ func RunRepairMatrix(cfg RepairMatrixConfig) (RepairMatrixResult, error) {
 // model on the bottleneck's data direction, with one repair scenario's
 // middlebox (or none) resequencing deliveries off the same link. The box
 // is deterministic, so the cell is a pure function of (Seed, cell).
-func repairCell(c *matrixCell, cfg RepairMatrixConfig) func() RepairMatrixCell {
-	rsc, _ := netem.RepairScenarioByName(c.Key[0]) // runMatrix vouched for the names
+func repairCell(c *cell[[]string], cfg RepairMatrixConfig) func() RepairMatrixCell {
+	rsc, _ := netem.RepairScenarioByName(c.Key[0]) // runSweep vouched for the names
 	sc, _ := netem.ReorderScenarioByName(c.Key[1])
 	proto := c.Key[2]
+	c.Scope.Links(c.bottlenecks[0], c.rev)
 	if model := sc.New(sim.NewRand(c.Seed)); model != nil {
-		c.DB.Bottleneck.SetReorderModel(model)
+		c.bottlenecks[0].SetReorderModel(model)
 	}
 	box := rsc.New()
 	if box != nil {
-		c.DB.Bottleneck.SetRepair(box)
+		c.bottlenecks[0].SetRepair(box)
 	}
-	f := c.Flow()
-	meter := meterReordering(c, f)
+	f := c.flow(0)
+	meter := meterReordering(c.Scope, f)
 	c.Scope.Flows(workload.NewFlow(f, proto, workload.PRParams{}, 0))
 
 	return func() RepairMatrixCell {
@@ -147,7 +142,7 @@ func repairCell(c *matrixCell, cfg RepairMatrixConfig) func() RepairMatrixCell {
 		if box != nil {
 			box.Flush()
 		}
-		st := c.DB.Bottleneck.Stats()
+		st := c.bottlenecks[0].Stats()
 		cell := RepairMatrixCell{
 			Box:         rsc.Name,
 			Model:       sc.Name,
@@ -181,6 +176,7 @@ func (r RepairMatrixResult) Table() *Table {
 			r.Config.Total),
 		Header: []string{"box", "model", "protocol", "goodput (Mbps)", "retx segs",
 			"residual rate", "residual k", "held"},
+		csv: "repairmatrix.csv",
 	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Box, c.Model, c.Protocol, f2(c.GoodputMbps), fmt.Sprintf("%d", c.RetxSegs),
@@ -197,6 +193,7 @@ func (r RepairMatrixResult) DetailTable() *Table {
 		Title: "Repair middlebox custody detail (per cell)",
 		Header: []string{"box", "model", "protocol", "held", "released", "timed out",
 			"ovfl fwd", "ovfl drop", "evicted", "mean hold (ms)"},
+		csv: "repairmatrix_detail.csv",
 	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Box, c.Model, c.Protocol,

@@ -1,116 +1,85 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"tcppr/internal/netem"
-	"tcppr/internal/routing"
 	"tcppr/internal/runobs"
 	"tcppr/internal/sim"
 	"tcppr/internal/stats"
-	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
 	"tcppr/internal/workload"
 )
 
-// RobustnessScenario names one impairment applied to a single-flow
-// dumbbell.
-type RobustnessScenario string
-
-// The robustness scenarios, each tied to a claim or motivation in the
+// The robustness impairments, each tied to a claim or motivation in the
 // paper:
-const (
-	// ScenarioBaseline is the unimpaired reference.
-	ScenarioBaseline RobustnessScenario = "baseline"
-	// ScenarioAckLoss drops 10% of ACKs on the reverse path. §3: TCP-PR
-	// "is also robust to acknowledgment losses" because it never
-	// distinguishes data-path from ACK-path loss.
-	ScenarioAckLoss RobustnessScenario = "ack loss 10%"
-	// ScenarioDelayedAcks switches the receiver to RFC 1122 delayed
-	// ACKs. §3: TCP-PR requires no receiver changes, so it must work
-	// with both standard receiver behaviours.
-	ScenarioDelayedAcks RobustnessScenario = "delayed ACKs"
-	// ScenarioJitter adds ±30 ms independent per-packet delay variation
-	// at the bottleneck, the single-path reordering a DiffServ/QoS
-	// element introduces (§1's deployment motivation).
-	ScenarioJitter RobustnessScenario = "30ms jitter"
-	// ScenarioRED replaces the bottleneck's drop-tail queue with RED,
-	// changing the loss pattern from bursty to spread-out.
-	ScenarioRED RobustnessScenario = "RED queue"
-)
+//   - ack loss 10%: §3, TCP-PR "is also robust to acknowledgment losses"
+//     because it never distinguishes data-path from ACK-path loss;
+//   - delayed ACKs: §3, TCP-PR requires no receiver changes, so it must
+//     work with both standard receiver behaviours (RFC 1122);
+//   - 30ms jitter: ±30 ms independent per-packet delay variation at the
+//     bottleneck, the single-path reordering a DiffServ/QoS element
+//     introduces (§1's deployment motivation);
+//   - RED queue: replaces drop-tail, changing the loss pattern from
+//     bursty to spread-out.
+var robustnessScenarios = []string{"baseline", "ack loss 10%", "delayed ACKs", "30ms jitter", "RED queue"}
 
-// RobustnessScenarios returns the scenario list in display order.
-func RobustnessScenarios() []RobustnessScenario {
-	return []RobustnessScenario{
-		ScenarioBaseline, ScenarioAckLoss, ScenarioDelayedAcks, ScenarioJitter, ScenarioRED,
+// impaired is one robustness cell: a protocol under an impairment.
+type impaired struct{ impairment, proto string }
+
+// robustnessProtocols are the grid's columns.
+var robustnessProtocols = []string{workload.TCPPR, workload.TCPSACK, workload.NewReno, workload.TDFR}
+
+// robustnessSweep declares the robustness grid: each protocol's
+// single-flow goodput (Mbps) on the 15 Mbps dumbbell under each
+// impairment, impairment-major.
+func robustnessSweep(d Durations, obs *runobs.Session) sweep[impaired] {
+	return sweep[impaired]{
+		name: "ext-robustness", d: d, obs: obs,
+		axes: []axis[impaired]{
+			along(robustnessScenarios, nil, func(k *impaired, s string) { k.impairment = s }),
+			along(robustnessProtocols, nil, func(k *impaired, p string) { k.proto = p }),
+		},
+		build: func(c *cell[impaired]) world { return dumbbell(c.Sched, topo.DumbbellConfig{Hosts: 1}) },
+		label: func(k impaired) (string, runobs.Fields) {
+			return "robustness " + k.impairment + " " + k.proto, runobs.Fields{Variant: k.impairment + "/" + k.proto}
+		},
 	}
 }
 
-// RobustnessResult is the goodput grid (Mbps) of scenario × protocol.
-type RobustnessResult struct {
-	Protocols []string
-	Rows      map[RobustnessScenario]map[string]float64
-	Durations Durations
-}
-
-// RunRobustness measures each protocol's single-flow goodput on a 15 Mbps
-// dumbbell under each impairment.
-func RunRobustness(d Durations, obs *runobs.Session) RobustnessResult {
-	protos := []string{workload.TCPPR, workload.TCPSACK, workload.NewReno, workload.TDFR}
-	res := RobustnessResult{
-		Protocols: protos,
-		Rows:      make(map[RobustnessScenario]map[string]float64),
-		Durations: d,
-	}
-	for _, sc := range RobustnessScenarios() {
-		res.Rows[sc] = make(map[string]float64)
-		for _, proto := range protos {
-			res.Rows[sc][proto] = runRobustnessCell(sc, proto, d, obs)
-		}
-	}
-	return res
-}
-
-func runRobustnessCell(sc RobustnessScenario, proto string, d Durations, obs *runobs.Session) float64 {
-	sched := sim.NewScheduler()
-	db := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-	scope := obs.Open(fmt.Sprintf("robustness %s %s", sc, proto), d.total(), db.Net, sched)
-	f := tcp.NewFlow(db.Net, 1, db.Src(0), db.Dst(0),
-		routing.Static{Path: db.FwdPath(0)}, routing.Static{Path: db.RevPath(0)})
-
-	switch sc {
-	case ScenarioAckLoss:
-		// Drop ACKs on the reverse bottleneck hop.
-		db.Net.FindLink("R", "L").SetLoss(0.10, sim.NewRand(17))
-	case ScenarioDelayedAcks:
+func robustnessCell(c *cell[impaired]) func() float64 {
+	f := c.flow(0)
+	switch c.Key.impairment {
+	case "ack loss 10%":
+		c.rev.SetLoss(0.10, sim.NewRand(17))
+	case "delayed ACKs":
 		f.DelayedAcks = true
-	case ScenarioJitter:
-		db.Bottleneck.SetImpairment(netem.NewJitter(30*time.Millisecond, sim.NewRand(18)))
-	case ScenarioRED:
-		db.Bottleneck.AttachRED(netem.NewRED(db.Bottleneck.QueueCap, sim.NewRand(19)))
+	case "30ms jitter":
+		c.bottlenecks[0].SetImpairment(netem.NewJitter(30*time.Millisecond, sim.NewRand(18)))
+	case "RED queue":
+		c.bottlenecks[0].AttachRED(netem.NewRED(c.bottlenecks[0].QueueCap, sim.NewRand(19)))
 	}
-
-	wf := workload.NewFlow(f, proto, workload.PRParams{}, 0)
-	scope.Flows(wf)
-	wf.MarkWindow(sched, d.Warm, d.Warm+d.Measure)
-	sched.RunUntil(d.Warm + d.Measure)
-	scope.Finish(runobs.Fields{Experiment: "ext-robustness", Topology: "dumbbell", Variant: string(sc) + "/" + proto})
-	return stats.Mbps(stats.Throughput(wf.WindowBytes(), d.Measure))
+	wf := workload.NewFlow(f, c.Key.proto, workload.PRParams{}, 0)
+	c.Scope.Flows(wf)
+	wf.MarkWindow(c.Sched, c.Warm, c.Horizon)
+	return func() float64 { return stats.Mbps(stats.Throughput(wf.WindowBytes(), c.Horizon-c.Warm)) }
 }
 
-// Table renders the grid.
-func (r RobustnessResult) Table() *Table {
+// robustness renders the grid: one row per impairment, one column per
+// protocol.
+func robustness(d Durations, obs *runobs.Session) ([]*Table, error) {
+	mbps, err := runSweep(robustnessSweep(d, obs), robustnessCell)
 	t := &Table{
 		Title:  "Extension: single-flow goodput (Mbps) under receiver/path impairments, 15 Mbps dumbbell",
-		Header: append([]string{"scenario"}, r.Protocols...),
+		Header: append([]string{"scenario"}, robustnessProtocols...),
+		csv:    "ext_robustness.csv",
 	}
-	for _, sc := range RobustnessScenarios() {
-		row := []string{string(sc)}
-		for _, p := range r.Protocols {
-			row = append(row, f2(r.Rows[sc][p]))
+	for i, row := range split(mbps, len(robustnessProtocols)) {
+		cells := []string{robustnessScenarios[i]}
+		for _, v := range row {
+			cells = append(cells, f2(v))
 		}
-		t.AddRow(row...)
+		t.AddRow(cells...)
 	}
-	return t
+	return []*Table{t}, err
 }

@@ -8,12 +8,16 @@ import (
 )
 
 // Table is a rendered experiment result: a title, a header row, and data
-// rows. Experiments return typed results plus a Table for display; the
-// CSV form feeds external plotting.
+// rows. The CLI prints it; the CSV form feeds external plotting.
 type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// csv is the file name the table is exported under in
+	// RunConfig.CSVDir ("" for none); a quiet table is exported only,
+	// never printed.
+	csv   string
+	quiet bool
 }
 
 // AddRow appends a row of already-formatted cells.
