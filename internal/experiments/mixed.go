@@ -253,12 +253,13 @@ func fig4Sweep(topologies []string, alphas, betas []float64, flows int, d Durati
 		along(betas, nil, func(k *mixed, b float64) { k.params.Beta = b }))
 }
 
-// fig4Tables renders Figure 4, one table per topology: TCP-SACK's mean
+// fig4 reproduces Figure 4, one table per topology: TCP-SACK's mean
 // normalised throughput (the paper's surface; ≈1 means TCP-PR's
 // parameters neither advantage nor disadvantage it) per (α, β).
-func fig4Tables(cells []mixedOut, perTopology int) []*Table {
+func fig4(topologies []string, alphas, betas []float64, flows int, d Durations, obs *runobs.Session) ([]*Table, error) {
+	cells, err := runSweep(fig4Sweep(topologies, alphas, betas, flows, d, obs), mixedCell)
 	var tables []*Table
-	for _, part := range split(cells, perTopology) {
+	for _, part := range split(cells, len(alphas)*len(betas)) {
 		t := &Table{
 			Title: fmt.Sprintf("Figure 4 (%s): TCP-SACK mean normalized throughput vs TCP-PR alpha/beta (%d flows)",
 				part[0].topology, part[0].flows),
@@ -270,7 +271,7 @@ func fig4Tables(cells []mixedOut, perTopology int) []*Table {
 		}
 		tables = append(tables, t)
 	}
-	return tables
+	return tables, err
 }
 
 // ablationBeta reproduces the §4 heavy-loss β note: under extreme loss

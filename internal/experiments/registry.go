@@ -159,11 +159,8 @@ var specs = []Spec{
 		}},
 	{"fig4", "Fig 4 alpha/beta sensitivity grid against TCP-SACK",
 		func(c RunConfig) ([]*Table, error) {
-			alphas := trim(c, []float64{0.3, 0.6, 0.9, 0.995}, []float64{0.995})
-			betas := trim(c, []float64{1, 2, 3, 5, 10}, []float64{3})
-			cells, err := runSweep(fig4Sweep(trim(c, topologies, topologies[:1]), alphas, betas,
-				trim(c, 64, 8), c.durations(), c.Obs), mixedCell)
-			return fig4Tables(cells, len(alphas)*len(betas)), err
+			return fig4(trim(c, topologies, topologies[:1]), trim(c, []float64{0.3, 0.6, 0.9, 0.995}, []float64{0.995}),
+				trim(c, []float64{1, 2, 3, 5, 10}, []float64{3}), trim(c, 64, 8), c.durations(), c.Obs)
 		}},
 	{"fig6", "Fig 6 multipath comparison across protocols, epsilons, and link delays",
 		func(c RunConfig) ([]*Table, error) {
