@@ -119,7 +119,7 @@ func RunChurnMatrix(cfg ChurnMatrixConfig) (ChurnMatrixResult, error) {
 	cfg.fill()
 	cells, err := runSweep(survival("churnmatrix", cfg.Total, cfg.Seed,
 		map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Obs,
-		names(cfg.Scenarios, catalog(faults.HostScenarioByName)), names(cfg.Protocols, knownProtocol("churnmatrix"))),
+		cfg.Protocols, names(cfg.Scenarios, catalog(faults.HostScenarioByName))),
 		func(c *cell[[]string]) func() ChurnMatrixCell { return churnCell(c, cfg) })
 	return ChurnMatrixResult{Cells: cells, Config: cfg}, err
 }

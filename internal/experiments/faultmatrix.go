@@ -85,7 +85,7 @@ func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 	cfg.fill()
 	cells, err := runSweep(survival("faultmatrix", cfg.Total, cfg.Seed,
 		map[string]float64{"fault_at_s": cfg.FaultAt.Seconds()}, cfg.Obs,
-		names(cfg.Scenarios, catalog(faults.ScenarioByName)), names(cfg.Protocols, knownProtocol("faultmatrix"))),
+		cfg.Protocols, names(cfg.Scenarios, catalog(faults.ScenarioByName))),
 		func(c *cell[[]string]) func() FaultMatrixCell { return faultCell(c, cfg) })
 	return FaultMatrixResult{Cells: cells, Config: cfg}, err
 }

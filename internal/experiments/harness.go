@@ -247,13 +247,15 @@ func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([
 	return cells, nil
 }
 
-// survival declares a survival matrix: catalog-named axes (the last the
-// protocol) over the single-host dumbbell, each cell run for total and
-// named <experiment>_<axes…>. Its body samples both bottleneck
+// survival declares a survival matrix: catalog-named row axes, then the
+// protocol axis, over the single-host dumbbell, each cell run for total
+// and named <experiment>_<axes…>. Its body samples both bottleneck
 // directions first (c.Scope.Links(c.bottlenecks[0], c.rev)).
-func survival(name string, total time.Duration, seed int64, params map[string]float64, obs *runobs.Session, axes ...axis[[]string]) sweep[[]string] {
+func survival(name string, total time.Duration, seed int64, params map[string]float64, obs *runobs.Session,
+	protocols []string, rows ...axis[[]string]) sweep[[]string] {
 	return sweep[[]string]{
-		name: name, axes: axes, d: Durations{Measure: total}, seed: seed, obs: obs,
+		name: name, axes: append(rows, names(protocols, knownProtocol(name))),
+		d: Durations{Measure: total}, seed: seed, obs: obs,
 		build: func(c *cell[[]string]) world { return dumbbell(c.Sched, topo.DumbbellConfig{Hosts: 1}) },
 		label: func(k []string) (string, runobs.Fields) {
 			return name + "_" + strings.Join(k, "_"),

@@ -19,9 +19,9 @@ import (
 // axis fails the run before a single cell has been built.
 func TestRunMatrixRejectsUnknownNamesUpFront(t *testing.T) {
 	good := netem.ReorderScenarioNames()
-	matrix := func(axes ...axis[[]string]) func(*atomic.Int64) error {
+	matrix := func(protos []string, rows ...axis[[]string]) func(*atomic.Int64) error {
 		return func(built *atomic.Int64) error {
-			_, err := runSweep(survival("harness", time.Millisecond, 1, nil, nil, axes...),
+			_, err := runSweep(survival("harness", time.Millisecond, 1, nil, nil, protos, rows...),
 				func(*cell[[]string]) func() int { built.Add(1); return func() int { return 0 } })
 			return err
 		}
@@ -31,13 +31,13 @@ func TestRunMatrixRejectsUnknownNamesUpFront(t *testing.T) {
 		run     func(built *atomic.Int64) error
 		wantErr string
 	}{
-		{"unknown row", matrix(names([]string{good[0], "no-such-model"}, catalog(netem.ReorderScenarioByName)),
-			names([]string{workload.TCPPR}, knownProtocol("harness"))), "no-such-model"},
-		{"unknown protocol", matrix(names(good, catalog(netem.ReorderScenarioByName)),
-			names([]string{workload.TCPPR, "TCP-Bogus"}, knownProtocol("harness"))), `harness: unknown protocol "TCP-Bogus"`},
-		{"unknown middle axis", matrix(names(netem.RepairScenarioNames(), catalog(netem.RepairScenarioByName)),
-			names([]string{"swap-high", "nope"}, catalog(netem.ReorderScenarioByName)),
-			names([]string{workload.TCPPR}, knownProtocol("harness"))), "nope"},
+		{"unknown row", matrix([]string{workload.TCPPR},
+			names([]string{good[0], "no-such-model"}, catalog(netem.ReorderScenarioByName))), "no-such-model"},
+		{"unknown protocol", matrix([]string{workload.TCPPR, "TCP-Bogus"},
+			names(good, catalog(netem.ReorderScenarioByName))), `harness: unknown protocol "TCP-Bogus"`},
+		{"unknown middle axis", matrix([]string{workload.TCPPR},
+			names(netem.RepairScenarioNames(), catalog(netem.RepairScenarioByName)),
+			names([]string{"swap-high", "nope"}, catalog(netem.ReorderScenarioByName))), "nope"},
 		{"unknown topology", func(built *atomic.Int64) error {
 			_, err := runSweep(fig2Sweep(Fig2Config{Topologies: []string{"dumbbell", "ring"}, FlowCounts: []int{4}, Durations: Quick}),
 				func(*cell[mixed]) func() int { built.Add(1); return func() int { return 0 } })
@@ -69,8 +69,8 @@ func TestRunMatrixCellIdentity(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cells, err := runSweep(survival("reordermatrix", time.Millisecond, seed, nil,
-		runobs.NewSession(runobs.Options{MetricsDir: dir}),
-		names(models, catalog(netem.ReorderScenarioByName)), names(protos, knownProtocol("reordermatrix"))),
+		runobs.NewSession(runobs.Options{MetricsDir: dir}), protos,
+		names(models, catalog(netem.ReorderScenarioByName))),
 		func(c *cell[[]string]) func() seen {
 			return func() seen { return seen{strings.Join(c.Key, "_"), c.Idx, c.Seed} }
 		})

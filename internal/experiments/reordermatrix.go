@@ -98,7 +98,7 @@ type ReorderMatrixResult struct {
 func RunReorderMatrix(cfg ReorderMatrixConfig) (ReorderMatrixResult, error) {
 	cfg.fill()
 	cells, err := runSweep(survival("reordermatrix", cfg.Total, cfg.Seed, map[string]float64{"meter_cap": meterCap}, cfg.Obs,
-		names(cfg.Models, catalog(netem.ReorderScenarioByName)), names(cfg.Protocols, knownProtocol("reordermatrix"))),
+		cfg.Protocols, names(cfg.Models, catalog(netem.ReorderScenarioByName))),
 		func(c *cell[[]string]) func() ReorderMatrixCell { return reorderCell(c, cfg) })
 	return ReorderMatrixResult{Cells: cells, Config: cfg}, err
 }

@@ -107,10 +107,9 @@ type RepairMatrixResult struct {
 // matrix, box-major then model-major in the configured order.
 func RunRepairMatrix(cfg RepairMatrixConfig) (RepairMatrixResult, error) {
 	cfg.fill()
-	cells, err := runSweep(survival("repairmatrix", cfg.Total, cfg.Seed, nil, cfg.Obs,
+	cells, err := runSweep(survival("repairmatrix", cfg.Total, cfg.Seed, nil, cfg.Obs, cfg.Protocols,
 		names(cfg.Boxes, catalog(netem.RepairScenarioByName)),
-		names(cfg.Models, catalog(netem.ReorderScenarioByName)),
-		names(cfg.Protocols, knownProtocol("repairmatrix"))),
+		names(cfg.Models, catalog(netem.ReorderScenarioByName))),
 		func(c *cell[[]string]) func() RepairMatrixCell { return repairCell(c, cfg) })
 	return RepairMatrixResult{Cells: cells, Config: cfg}, err
 }
