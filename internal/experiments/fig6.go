@@ -53,7 +53,7 @@ func runFig6(name string, cfg Fig6Config) ([]Fig6Point, error) {
 		build: func(c *cell[Fig6Point]) world {
 			k := c.Key
 			w := multipath(c.Sched, k.LinkDelay, k.Epsilon, sim.SplitSeed(cfg.Seed, 1), sim.SplitSeed(cfg.Seed, 2))
-			w.flows = []*workload.Flow{workload.NewFlow(w.flow(0), k.Protocol, workload.PRParams{}, 0)}
+			w.started = workload.NewFlow(w.flow(0), k.Protocol, workload.PRParams{}, 0)
 			// Convergence to steady state through congestion avoidance
 			// scales with the bandwidth-delay product, so the warm-up
 			// scales with the link delay (60 ms links need ~6x the 10 ms
@@ -69,13 +69,13 @@ func runFig6(name string, cfg Fig6Config) ([]Fig6Point, error) {
 					"eps": k.Epsilon, "delay_ms": float64(k.LinkDelay.Milliseconds()), "paths": 3}}
 		},
 	}, func(c *cell[Fig6Point]) func() Fig6Point {
-		wf := c.flows[0]
+		wf := c.started
 		c.Scope.Flows(wf)
 		c.Scope.Links(c.net.Links()...)
 		wf.MarkWindow(c.Sched, c.Warm, c.Horizon)
 		return func() Fig6Point {
 			p := c.Key
-			p.Mbps = stats.Mbps(stats.Throughput(wf.WindowBytes(), cfg.Durations.Measure))
+			p.Mbps = stats.Mbps(stats.Throughput(wf.WindowBytes(), c.Horizon-c.Warm))
 			p.Heap = c.Sched.Stats()
 			return p
 		}

@@ -43,27 +43,26 @@ type sweep[K any] struct {
 	label func(k K) (scope string, f runobs.Fields)
 }
 
-// axis is one typed dimension of a sweep: how many values it has, the
-// check that vouches for value i, and how value i lands in a cell key.
+// axis is one typed dimension of a sweep: how many values it has, and
+// at, which returns the check's verdict on value i and, given a cell key,
+// sets the value into it.
 type axis[K any] struct {
-	n     int
-	check func(i int) error
-	set   func(k *K, i int)
+	n  int
+	at func(k *K, i int) error
 }
 
 // along declares an axis over vals. known (nil: every value is valid)
 // vouches for each value before any cell runs.
 func along[K, T any](vals []T, known func(T) error, set func(k *K, v T)) axis[K] {
-	return axis[K]{
-		n: len(vals),
-		check: func(i int) error {
-			if known == nil {
-				return nil
-			}
-			return known(vals[i])
-		},
-		set: func(k *K, i int) { set(k, vals[i]) },
-	}
+	return axis[K]{len(vals), func(k *K, i int) error {
+		if k != nil {
+			set(k, vals[i])
+		}
+		if known == nil {
+			return nil
+		}
+		return known(vals[i])
+	}}
 }
 
 // names declares a survival-matrix axis: catalog names appended to the
@@ -110,9 +109,9 @@ type world struct {
 	// the dumbbell bottleneck's reverse direction (R→L).
 	bottlenecks []*netem.Link
 	rev         *netem.Link
-	// flows are measurement flows build already started (Fig 6 starts
+	// started is a measurement flow build already started (Fig 6 starts
 	// its flow ahead of the sampler's first tick).
-	flows []*workload.Flow
+	started *workload.Flow
 }
 
 // flowSlot is one (source, destination) pair with its two routers.
@@ -207,7 +206,7 @@ func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([
 	n := 1
 	for _, ax := range s.axes {
 		for i := 0; i < ax.n; i++ {
-			if err := ax.check(i); err != nil {
+			if err := ax.at(nil, i); err != nil {
 				return nil, err
 			}
 		}
@@ -219,12 +218,10 @@ func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([
 	}
 	outs := parallelMap(n, func(i int) outcome {
 		c := &cell[K]{Idx: i + 1, Seed: sim.SplitSeed(s.seed, int64(i+1)), Sched: sim.NewScheduler(), Warm: s.d.Warm}
-		pos := make([]int, len(s.axes))
-		for a, rest := len(s.axes)-1, i; a >= 0; a-- {
-			pos[a], rest = rest%s.axes[a].n, rest/s.axes[a].n
-		}
-		for a, ax := range s.axes {
-			ax.set(&c.Key, pos[a])
+		stride := n // cells per value of the current axis and those before it
+		for _, ax := range s.axes {
+			stride /= ax.n
+			ax.at(&c.Key, i/stride%ax.n) // vouched for above
 		}
 		c.world = s.build(c)
 		c.Horizon = c.Warm + s.d.Measure
