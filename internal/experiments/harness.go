@@ -225,8 +225,12 @@ func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([
 		}
 		c.world = s.build(c)
 		c.Horizon = c.Warm + s.d.Measure
-		name, f := s.label(c.Key)
-		c.Scope = s.obs.Open(name, c.Horizon, c.net, c.Sched)
+		var f runobs.Fields
+		if s.obs != nil { // a nil session records nothing: skip the labelling
+			var name string
+			name, f = s.label(c.Key)
+			c.Scope = s.obs.Open(name, c.Horizon, c.net, c.Sched)
+		}
 		defer c.Scope.DumpOnPanic()
 		collect := body(c)
 		c.Sched.RunUntil(c.Horizon)
