@@ -218,9 +218,9 @@ func runSweep[K, C any](s sweep[K], body func(c *cell[K]) (collect func() C)) ([
 	}
 	outs := parallelMap(n, func(i int) outcome {
 		c := &cell[K]{Idx: i + 1, Seed: sim.SplitSeed(s.seed, int64(i+1)), Sched: sim.NewScheduler(), Warm: s.d.Warm}
-		stride := n // cells per value of the current axis and those before it
+		stride := n
 		for _, ax := range s.axes {
-			stride /= ax.n
+			stride /= ax.n               // cells per value of this axis: the later axes' product
 			ax.at(&c.Key, i/stride%ax.n) // vouched for above
 		}
 		c.world = s.build(c)
