@@ -62,14 +62,11 @@ func TestDebugPRTrace(t *testing.T) {
 		now := sched.Now()
 		return now > 18500*time.Millisecond && now < 21*time.Second
 	}
-	for _, l := range d.Net.Links() {
-		l := l
-		l.OnDrop = func(p *netem.Packet) {
-			if interesting() {
-				fmt.Printf("  t=%v LINKDROP %s pkt flow=%d payload=%+v\n", sched.Now(), l, p.Flow, p.Payload)
-			}
+	d.Net.Observe(linkTap(func(kind byte, l *netem.Link, p *netem.Packet) {
+		if kind == 'x' && interesting() {
+			fmt.Printf("  t=%v LINKDROP %s pkt flow=%d payload=%+v\n", sched.Now(), l, p.Flow, p.Payload)
 		}
-	}
+	}))
 	f.Hooks.OnDataSent = func(seg tcp.Seg, now sim.Time) {
 		if seg.Retx && interesting() {
 			fmt.Printf("  t=%v RETX seq=%d\n", now, seg.Seq)

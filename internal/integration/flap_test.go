@@ -15,6 +15,17 @@ import (
 	"tcppr/internal/workload"
 )
 
+// linkTap is a test netem.Observer that hears only per-link deliveries
+// ('d') and drops ('x').
+type linkTap func(kind byte, l *netem.Link, p *netem.Packet)
+
+func (linkTap) PacketSent(*netem.Packet)                                                       {}
+func (linkTap) PacketEnqueued(*netem.Link, *netem.Packet, sim.Time, sim.Time, sim.Time)        {}
+func (f linkTap) PacketDelivered(l *netem.Link, p *netem.Packet)                               { f('d', l, p) }
+func (f linkTap) PacketDropped(l *netem.Link, p *netem.Packet, _ netem.DropCause)              { f('x', l, p) }
+func (linkTap) PacketRepair(*netem.Link, *netem.Packet, netem.RepairAction, sim.Time)          {}
+func (linkTap) PacketDuplicated(*netem.Link, *netem.Packet, *netem.Packet, sim.Time, sim.Time) {}
+
 // exitEvent is one delivery ('d') or drop ('x') on a path's exit hop.
 type exitEvent struct {
 	at   sim.Time
@@ -39,20 +50,18 @@ func flapRun(t *testing.T, period time.Duration) (*topo.Multipath, *trace.Record
 	rec.Attach(f)
 	var exits []exitEvent
 	var buf bytes.Buffer
+	exitHop := map[*netem.Link]bool{}
 	for _, p := range m.FwdPaths {
-		l := p[len(p)-1] // exit hop: a delivery here pins which path carried the packet
-		note := func(kind byte, prev func(*netem.Packet)) func(*netem.Packet) {
-			return func(pkt *netem.Packet) {
-				exits = append(exits, exitEvent{sched.Now(), l.String(), kind})
-				fmt.Fprintf(&buf, "%.6f\t%c\t%s\t%d\t%d\t%d\n",
-					time.Duration(sched.Now()).Seconds(), kind, l, pkt.Flow, pkt.ID, pkt.Size)
-				if prev != nil {
-					prev(pkt)
-				}
-			}
-		}
-		l.OnDeliver, l.OnDrop = note('d', l.OnDeliver), note('x', l.OnDrop)
+		exitHop[p[len(p)-1]] = true // a delivery here pins which path carried the packet
 	}
+	m.Net.Observe(linkTap(func(kind byte, l *netem.Link, pkt *netem.Packet) {
+		if !exitHop[l] {
+			return
+		}
+		exits = append(exits, exitEvent{sched.Now(), l.String(), kind})
+		fmt.Fprintf(&buf, "%.6f\t%c\t%s\t%d\t%d\t%d\n",
+			time.Duration(sched.Now()).Seconds(), kind, l, pkt.Flow, pkt.ID, pkt.Size)
+	}))
 	workload.NewFlow(f, workload.TCPPR, workload.PRParams{}, 0)
 	sched.RunUntil(10 * time.Second)
 

@@ -112,7 +112,9 @@ type tracer struct {
 }
 
 // tracer attaches the causal tracer to a scenario when the campaign asked
-// for flight recording; nil (a no-op scope) otherwise.
+// for flight recording; nil (a no-op scope) otherwise. Call it before the
+// checker subscribes to the network, so a violation's flight dump ends
+// with the event that caused it.
 func (c Config) tracer(sched *sim.Scheduler, net *netem.Network, ck *invariant.Checker) *tracer {
 	if c.FlightRecorder == nil {
 		return nil
@@ -184,8 +186,8 @@ func runDumbbell(seed int64, rng *rand.Rand, cfg Config) (string, *invariant.Che
 	sched := sim.NewScheduler()
 	d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: hosts, BottleneckBW: topo.Mbps(bw)})
 	c := invariant.New(sched)
-	c.AttachNetwork(d.Net)
 	tr := cfg.tracer(sched, d.Net, c)
+	c.AttachNetwork(d.Net)
 
 	pr := workload.PRParams{Alpha: 0.995, Beta: 3}
 	starts := workload.StaggeredStarts(hosts, 0, 2*time.Second)
@@ -230,8 +232,8 @@ func runMultipath(seed int64, rng *rand.Rand, cfg Config) (string, *invariant.Ch
 	sched := sim.NewScheduler()
 	m := topo.NewMultipath(sched, numPaths, delay)
 	c := invariant.New(sched)
-	c.AttachNetwork(m.Net)
 	tr := cfg.tracer(sched, m.Net, c)
+	c.AttachNetwork(m.Net)
 
 	pr := workload.PRParams{Alpha: 0.995, Beta: 3}
 	starts := workload.StaggeredStarts(flows, 0, time.Second)

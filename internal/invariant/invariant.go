@@ -1,7 +1,7 @@
 // Package invariant is an online conformance oracle for the simulator: a
 // Checker attaches to a running scenario through the existing observation
-// seams — tcp.FlowHooks, the per-link OnDrop/OnDeliver callbacks, and the
-// scheduler clock — and verifies, while the simulation executes, that
+// seams — tcp.FlowHooks, a netem.Observer subscription, and the scheduler
+// clock — and verifies, while the simulation executes, that
 //
 //   - packets are conserved: everything a flow sends is eventually
 //     delivered, dropped (queue, loss, blackout, corruption), or still in
@@ -18,8 +18,8 @@
 // Attaching also arms the sim/netem pool-ownership debug checks, so a
 // double-released event or packet panics at the release site instead of
 // corrupting an unrelated later run. When no Checker is attached nothing
-// in the hot path changes — the hooks stay nil and the pool checks stay
-// single predictable branches.
+// in the hot path changes — the links have no subscriber and the pool
+// checks stay single predictable branches.
 //
 // Violations are recorded (capped) with the virtual time, rule name, and
 // flow; the fuzzer in internal/invariant/fuzzer composes random scenarios
@@ -74,7 +74,6 @@ type Checker struct {
 	violations []Violation
 
 	net   *netem.Network
-	links []*linkWatch
 	flows map[int]*flowState
 	order []*flowState // attach order, for deterministic Finish
 
@@ -155,16 +154,15 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("%s", sb.String())
 }
 
-// AttachNetwork wraps every link's OnDrop/OnDeliver hook with conservation
-// accounting and arms the packet/event pool ownership checks. Call it
-// after the topology is built and before (or alongside) AttachFlow.
+// AttachNetwork subscribes the link checks and the conservation
+// accounting to every packet delivery and drop on the network, and arms
+// the packet/event pool ownership checks. Call it after the topology is
+// built and before (or alongside) AttachFlow.
 func (c *Checker) AttachNetwork(n *netem.Network) {
 	c.net = n
 	n.SetDebugPool(true)
 	c.sched.SetDebugPool(true)
-	for _, l := range n.Links() {
-		c.watchLink(l)
-	}
+	n.Observe(linkObserver{c})
 }
 
 // AttachFlow chains the conformance rules for one flow onto its hooks.
@@ -194,22 +192,19 @@ func (c *Checker) Finish() {
 		fs.checkConservation(true)
 		fs.finishAbort()
 	}
-	for _, w := range c.links {
-		w.check()
-		st := w.l.Stats()
-		if st.Delivered+st.Corrupted > st.Enqueued+st.Duplicated {
-			c.violatef(w.l.String(), "link-balance",
-				"delivered %d + corrupted %d exceeds enqueued %d + duplicated %d",
-				st.Delivered, st.Corrupted, st.Enqueued, st.Duplicated)
-		}
+	if c.net == nil {
+		return
+	}
+	for _, l := range c.net.Links() {
+		c.checkLink(l)
 		// Unlike a reorder model (whose custody may legitimately straddle
 		// the horizon), a repair middlebox must be flushed at end of run:
 		// every held packet is delivered, dropped, or flushed — never
 		// silently stranded in a buffer.
-		if w.l.Repair() != nil && w.l.RepairHeldNow() != 0 {
-			c.violatef(w.l.String(), "repair-ledger",
+		if l.Repair() != nil && l.RepairHeldNow() != 0 {
+			c.violatef(l.String(), "repair-ledger",
 				"%d packets still in middlebox custody at end of run (missing RepairBox.Flush?)",
-				w.l.RepairHeldNow())
+				l.RepairHeldNow())
 		}
 	}
 }
@@ -220,14 +215,14 @@ func (c *Checker) Finish() {
 // exactly. (Packets still held at the horizon are legitimate — a batch
 // deadline past the cutoff — which is why quiescence does not demand
 // held == released.)
-func (w *linkWatch) checkReorderLedger() {
-	st := w.l.Stats()
+func (c *Checker) checkReorderLedger(l *netem.Link) {
+	st := l.Stats()
 	if st.ReorderReleased > st.ReorderHeld {
-		w.c.violatef(w.l.String(), "reorder-ledger",
+		c.violatef(l.String(), "reorder-ledger",
 			"reorder model released %d packets but only held %d", st.ReorderReleased, st.ReorderHeld)
 	}
-	if held := w.l.ReorderHeldNow(); uint64(held) != st.ReorderHeld-st.ReorderReleased {
-		w.c.violatef(w.l.String(), "reorder-ledger",
+	if held := l.ReorderHeldNow(); uint64(held) != st.ReorderHeld-st.ReorderReleased {
+		c.violatef(l.String(), "reorder-ledger",
 			"reorder custody count %d != held %d - released %d", held, st.ReorderHeld, st.ReorderReleased)
 	}
 }
@@ -237,14 +232,14 @@ func (w *linkWatch) checkReorderLedger() {
 // but must conserve them through the box, so releases can never outrun
 // holds and the live custody count must close the ledger exactly. The
 // end-of-run half (no packet held past the horizon) lives in Finish.
-func (w *linkWatch) checkRepairLedger() {
-	st := w.l.Stats()
+func (c *Checker) checkRepairLedger(l *netem.Link) {
+	st := l.Stats()
 	if st.RepairReleased > st.RepairHeld {
-		w.c.violatef(w.l.String(), "repair-ledger",
+		c.violatef(l.String(), "repair-ledger",
 			"middlebox released %d packets but only held %d", st.RepairReleased, st.RepairHeld)
 	}
-	if held := w.l.RepairHeldNow(); uint64(held) != st.RepairHeld-st.RepairReleased {
-		w.c.violatef(w.l.String(), "repair-ledger",
+	if held := l.RepairHeldNow(); uint64(held) != st.RepairHeld-st.RepairReleased {
+		c.violatef(l.String(), "repair-ledger",
 			"middlebox custody count %d != held %d - released %d", held, st.RepairHeld, st.RepairReleased)
 	}
 }
@@ -262,59 +257,49 @@ func (c *Checker) dupSlack() uint64 {
 	return d
 }
 
-// linkWatch wraps one link's hooks with per-event consistency checks.
-type linkWatch struct {
-	c *Checker
-	l *netem.Link
-}
+// linkObserver is the Checker's packet-layer subscription: a delivery
+// runs the link check, a drop the link check plus the flow attribution.
+type linkObserver struct{ *Checker }
 
-func (c *Checker) watchLink(l *netem.Link) {
-	w := &linkWatch{c: c, l: l}
-	prevDrop, prevDeliver := l.OnDrop, l.OnDeliver
-	l.OnDrop = func(p *netem.Packet) {
-		w.onDrop(p)
-		if prevDrop != nil {
-			prevDrop(p)
-		}
-	}
-	l.OnDeliver = func(p *netem.Packet) {
-		w.check()
-		if prevDeliver != nil {
-			prevDeliver(p)
-		}
-	}
-	c.links = append(c.links, w)
-}
+func (linkObserver) PacketSent(*netem.Packet) {}
 
-// check verifies the link's counter algebra at an event boundary: queue
+func (linkObserver) PacketEnqueued(*netem.Link, *netem.Packet, sim.Time, sim.Time, sim.Time) {}
+
+func (o linkObserver) PacketDelivered(l *netem.Link, _ *netem.Packet) { o.checkLink(l) }
+
+func (linkObserver) PacketDuplicated(*netem.Link, *netem.Packet, *netem.Packet, sim.Time, sim.Time) {}
+
+func (linkObserver) PacketRepair(*netem.Link, *netem.Packet, netem.RepairAction, sim.Time) {}
+
+// checkLink verifies a link's counter algebra at an event boundary: queue
 // occupancy must equal enqueued−dequeued, and deliveries (plus corrupt
 // discards) can never exceed what entered the link.
-func (w *linkWatch) check() {
-	st := w.l.Stats()
-	if got, want := w.l.QueueLen(), int(st.Enqueued)-int(st.Dequeued); got != want {
-		w.c.violatef(w.l.String(), "link-queue",
+func (c *Checker) checkLink(l *netem.Link) {
+	st := l.Stats()
+	if got, want := l.QueueLen(), int(st.Enqueued)-int(st.Dequeued); got != want {
+		c.violatef(l.String(), "link-queue",
 			"queue length %d != enqueued %d - dequeued %d", got, st.Enqueued, st.Dequeued)
 	}
 	if st.Delivered+st.Corrupted > st.Enqueued+st.Duplicated {
-		w.c.violatef(w.l.String(), "link-balance",
+		c.violatef(l.String(), "link-balance",
 			"delivered %d + corrupted %d exceeds enqueued %d + duplicated %d",
 			st.Delivered, st.Corrupted, st.Enqueued, st.Duplicated)
 	}
 	if st.ReorderHeld != 0 || st.ReorderReleased != 0 {
-		w.checkReorderLedger()
+		c.checkReorderLedger(l)
 	}
 	if st.RepairHeld != 0 || st.RepairReleased != 0 {
-		w.checkRepairLedger()
+		c.checkRepairLedger(l)
 	}
 }
 
-// onDrop attributes a terminal packet death to its flow. A packet dies at
-// most once (whichever link rejected or corrupted it); intermediate
-// deliveries are not terminal, so only the flow's own receive hooks count
-// the other end of the ledger.
-func (w *linkWatch) onDrop(p *netem.Packet) {
-	w.check()
-	fs := w.c.flows[p.Flow]
+// PacketDropped attributes a terminal packet death to its flow. A packet
+// dies at most once (whichever link rejected or corrupted it);
+// intermediate deliveries are not terminal, so only the flow's own receive
+// hooks count the other end of the ledger.
+func (o linkObserver) PacketDropped(l *netem.Link, p *netem.Packet, _ netem.DropCause) {
+	o.checkLink(l)
+	fs := o.flows[p.Flow]
 	if fs == nil {
 		return // unattached (e.g. cross traffic)
 	}

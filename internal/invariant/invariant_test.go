@@ -148,7 +148,7 @@ func TestConservationCatchesPhantomDrop(t *testing.T) {
 
 	// Simulate a bookkeeping bug: the bottleneck reports a terminal drop
 	// of a data packet this flow never transmitted.
-	d.Bottleneck.OnDrop(&netem.Packet{Flow: 1, Payload: &tcp.Seg{Seq: 42}})
+	linkObserver{c}.PacketDropped(d.Bottleneck, &netem.Packet{Flow: 1, Payload: &tcp.Seg{Seq: 42}}, netem.DropQueueFull)
 	if c.Total() == 0 {
 		t.Fatal("phantom drop not detected")
 	}

@@ -28,6 +28,20 @@ func (o *recordObs) PacketDuplicated(l *Link, orig, dup *Packet, txEnd, arrive s
 	o.traces = append(o.traces, dup.Trace)
 	o.parents = append(o.parents, dup.Parent)
 }
+func (o *recordObs) PacketRepair(*Link, *Packet, RepairAction, sim.Time) {}
+
+// funcObs is a test Observer that reports every callback to one func, by
+// kind: "sent", "enq", "del", "drop", "dup" (with the copy) or "repair".
+type funcObs func(kind string, l *Link, p *Packet)
+
+func (f funcObs) PacketSent(p *Packet)                                    { f("sent", nil, p) }
+func (f funcObs) PacketEnqueued(l *Link, p *Packet, _, _, _ sim.Time)     { f("enq", l, p) }
+func (f funcObs) PacketDelivered(l *Link, p *Packet)                      { f("del", l, p) }
+func (f funcObs) PacketDropped(l *Link, p *Packet, _ DropCause)           { f("drop", l, p) }
+func (f funcObs) PacketDuplicated(l *Link, _, dup *Packet, _, _ sim.Time) { f("dup", l, dup) }
+func (f funcObs) PacketRepair(l *Link, p *Packet, _ RepairAction, _ sim.Time) {
+	f("repair", l, p)
+}
 
 // TestDropCauseAttribution drives every drop path and asserts each one
 // lands in its own LinkStats counter and reports its own DropCause to the
@@ -94,7 +108,7 @@ func TestDropCauseAttribution(t *testing.T) {
 			l := net.AddLink("a", "b", mbps(1), time.Millisecond, 1<<20)
 			net.Node("b").Handle(1, func(*Packet) {})
 			obs := &recordObs{}
-			net.SetObserver(obs)
+			net.Observe(obs)
 			tc.rig(s, l)
 			const n = 50
 			for i := 0; i < n; i++ {
@@ -149,7 +163,7 @@ func TestObserverLifecycleAndTraceIDs(t *testing.T) {
 	l2.SetImpairment(NewDuplication(1, sim.NewRand(3))) // every packet duplicated on hop 2
 	net.Node("b").Handle(1, func(*Packet) {})
 	obs := &recordObs{}
-	net.SetObserver(obs)
+	net.Observe(obs)
 
 	const n = 10
 	for i := 0; i < n; i++ {

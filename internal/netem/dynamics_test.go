@@ -128,14 +128,18 @@ func TestLinkQueueCapShrink(t *testing.T) {
 
 // TestLinkCorruption checks the corruption impairment: corrupted packets
 // consume link resources but are discarded at the far end, counted, and
-// reported through OnDrop.
+// reported to the observers as drops.
 func TestLinkCorruption(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(100), 0, 1<<20)
 	l.SetImpairment(NewCorruption(0.3, sim.NewRand(5)))
 	delivered, dropped := 0, 0
 	net.Node("b").Handle(1, func(*Packet) { delivered++ })
-	l.OnDrop = func(*Packet) { dropped++ }
+	net.Observe(funcObs(func(kind string, _ *Link, _ *Packet) {
+		if kind == "drop" {
+			dropped++
+		}
+	}))
 
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -149,7 +153,7 @@ func TestLinkCorruption(t *testing.T) {
 		t.Errorf("delivered %d + corrupted %d != %d", delivered, st.Corrupted, n)
 	}
 	if int(st.Corrupted) != dropped {
-		t.Errorf("OnDrop fired %d times, want %d (one per corruption)", dropped, st.Corrupted)
+		t.Errorf("PacketDropped fired %d times, want %d (one per corruption)", dropped, st.Corrupted)
 	}
 	frac := float64(st.Corrupted) / n
 	if frac < 0.25 || frac > 0.35 {
@@ -186,18 +190,22 @@ func TestLinkDuplication(t *testing.T) {
 	}
 }
 
-// TestLinkOnDeliver checks the delivery hook: it fires once per packet
-// handed downstream (not for drops) with the packet still on this link.
-func TestLinkOnDeliver(t *testing.T) {
+// TestLinkPacketDelivered checks the delivery notification: it fires once
+// per packet handed downstream (not for drops) with the packet still on
+// this link.
+func TestLinkPacketDelivered(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(100), 0, 2)
 	seen := 0
-	l.OnDeliver = func(p *Packet) {
+	net.Observe(funcObs(func(kind string, _ *Link, p *Packet) {
+		if kind != "del" {
+			return
+		}
 		if p.NextLink() != l {
-			t.Errorf("OnDeliver packet already advanced past %s", l)
+			t.Errorf("PacketDelivered packet already advanced past %s", l)
 		}
 		seen++
-	}
+	}))
 	net.Node("b").Handle(1, func(*Packet) {})
 	accepted := 0
 	for i := 0; i < 10; i++ { // overflow the 2-slot queue: some drop
@@ -210,7 +218,7 @@ func TestLinkOnDeliver(t *testing.T) {
 		t.Fatal("expected some queue drops")
 	}
 	if seen != accepted {
-		t.Errorf("OnDeliver fired %d times, want %d (accepted packets only)", seen, accepted)
+		t.Errorf("PacketDelivered fired %d times, want %d (accepted packets only)", seen, accepted)
 	}
 }
 

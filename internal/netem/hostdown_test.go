@@ -15,7 +15,7 @@ func TestHostDownRejectsEnqueue(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(10), 5*time.Millisecond, 100)
 	obs := &recordObs{}
-	net.SetObserver(obs)
+	net.Observe(obs)
 	delivered := 0
 	net.Node("b").Handle(1, func(*Packet) { delivered++ })
 
@@ -67,7 +67,7 @@ func TestHostDownKillsInFlight(t *testing.T) {
 	s, net := newTestNet()
 	l := net.AddLink("a", "b", mbps(10), 10*time.Millisecond, 100)
 	obs := &recordObs{}
-	net.SetObserver(obs)
+	net.Observe(obs)
 	delivered := 0
 	net.Node("b").Handle(1, func(*Packet) { delivered++ })
 

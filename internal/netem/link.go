@@ -119,7 +119,7 @@ type Link struct {
 
 	sched     *sim.Scheduler
 	net       *Network
-	obs       Observer
+	obs       []Observer
 	busyUntil sim.Time
 	stats     LinkStats
 	down      bool
@@ -157,16 +157,6 @@ type Link struct {
 	heldNow int
 	repair  *RepairBox
 	red     *RED
-
-	// OnDrop, if non-nil, is invoked for every packet lost on this link
-	// (queue overflow, random loss, blackout, or corruption); used by
-	// traces and tests.
-	OnDrop func(*Packet)
-	// OnDeliver, if non-nil, is invoked for every packet this link hands
-	// to the downstream node, just before the hand-off (the packet still
-	// reads as being on this link). Fault experiments and traces observe
-	// successful per-link deliveries here without wrapping nodes.
-	OnDeliver func(*Packet)
 }
 
 // SetLoss configures independent per-packet random loss with the given
@@ -419,8 +409,8 @@ func (l *Link) Enqueue(p *Packet) bool {
 	}
 	arrive := finish + l.Delay + sim.Time(eff.ExtraDelay)
 	p.corrupt = eff.Corrupt
-	if l.obs != nil {
-		l.obs.PacketEnqueued(l, p, start, finish, arrive)
+	for _, o := range l.obs {
+		o.PacketEnqueued(l, p, start, finish, arrive)
 	}
 	// The reorder model, if any, decides the release: immediately (with a
 	// possibly detoured release time) or by taking custody. The hold
@@ -459,8 +449,8 @@ func (l *Link) Enqueue(p *Packet) bool {
 			dup.Parent = p.Trace
 			dup.Trace = l.net.newTraceID()
 		}
-		if l.obs != nil {
-			l.obs.PacketDuplicated(l, p, dup, finish, arrive)
+		for _, o := range l.obs {
+			o.PacketDuplicated(l, p, dup, finish, arrive)
 		}
 		l.deliveries.At(arrive, dup)
 	}
@@ -491,7 +481,7 @@ func (l *Link) growDeparts() {
 func (l *Link) deliverEvent(arg any) { l.deliver(arg.(*Packet)) }
 
 // deliver completes one packet's traversal: corrupted packets die at the
-// far end (counted, OnDrop-notified, recycled); clean packets are handed
+// far end (counted, reported as drops, recycled); clean packets are handed
 // to the downstream node.
 func (l *Link) deliver(p *Packet) {
 	// A host fault mid-flight destroys the packet at delivery time: queued
@@ -519,31 +509,25 @@ func (l *Link) deliver(p *Packet) {
 	l.finishDeliver(p)
 }
 
-// finishDeliver is the unconditional tail of delivery: counters,
-// observer/hook notifications, and the hand-off to the downstream node.
+// finishDeliver is the unconditional tail of delivery: counters, observer
+// notifications, and the hand-off to the downstream node.
 // The repair middlebox releases held packets through it directly, so a
 // repaired packet is delivered exactly once and never re-intercepted.
 func (l *Link) finishDeliver(p *Packet) {
 	l.stats.Delivered++
 	l.stats.Bytes += uint64(p.Size)
-	if l.obs != nil {
-		l.obs.PacketDelivered(l, p)
-	}
-	if l.OnDeliver != nil {
-		l.OnDeliver(p)
+	for _, o := range l.obs {
+		o.PacketDelivered(l, p)
 	}
 	p.advance()
 	l.To.receive(p)
 }
 
-// drop reports one packet death to the observer and the OnDrop hook; the
-// per-cause stats counter is incremented at the call site.
+// drop reports one packet death to the observers; the per-cause stats
+// counter is incremented at the call site.
 func (l *Link) drop(p *Packet, cause DropCause) {
-	if l.obs != nil {
-		l.obs.PacketDropped(l, p, cause)
-	}
-	if l.OnDrop != nil {
-		l.OnDrop(p)
+	for _, o := range l.obs {
+		o.PacketDropped(l, p, cause)
 	}
 }
 

@@ -32,7 +32,7 @@ type Network struct {
 	nextTrace uint64
 	free      []*Packet
 	debugPool bool
-	obs       Observer
+	obs       []Observer
 }
 
 type linkKey struct{ from, to string }
@@ -170,8 +170,8 @@ func (n *Network) Send(p *Packet) bool {
 	n.nextTrace++
 	p.Trace = n.nextTrace
 	p.SentAt = n.sched.Now()
-	if n.obs != nil {
-		n.obs.PacketSent(p)
+	for _, o := range n.obs {
+		o.PacketSent(p)
 	}
 	if !p.Path[0].Enqueue(p) {
 		n.release(p)

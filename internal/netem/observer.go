@@ -1,6 +1,10 @@
 package netem
 
-import "tcppr/internal/sim"
+import (
+	"slices"
+
+	"tcppr/internal/sim"
+)
 
 // DropCause says why a packet died on a link. Every drop path reports a
 // distinct cause, matching the per-cause LinkStats counters, so traces and
@@ -61,10 +65,11 @@ func (c DropCause) String() string {
 }
 
 // Observer receives the full per-packet lifecycle of a network: injection,
-// queueing, serialization, propagation, delivery, and death. It is the
-// tracing seam internal/span attaches to. A nil observer costs one
-// predictable branch per event on the hot path (the same contract as the
-// OnDrop/OnDeliver hooks and the pool debug checks), so detached runs keep
+// queueing, serialization, propagation, delivery, middlebox custody, and
+// death. It is the packet layer's only observation seam: internal/span and
+// the invariant checker both subscribe through Network.Observe. With no
+// subscriber each event costs one range over an empty slice on the hot
+// path (the same contract as the pool debug checks), so detached runs keep
 // the 0 allocs/op forwarding path.
 //
 // Callbacks run synchronously inside the simulation; implementations must
@@ -89,14 +94,18 @@ type Observer interface {
 	// an extra copy: dup carries a fresh Trace with Parent = orig.Trace and
 	// shares the original's arrival schedule.
 	PacketDuplicated(l *Link, orig, dup *Packet, txEnd, arrive sim.Time)
+	// PacketRepair fires once per middlebox custody transition on the
+	// link's repair box, with the custody duration on releases (0 on holds).
+	PacketRepair(l *Link, p *Packet, action RepairAction, heldFor sim.Time)
 }
 
-// SetObserver installs (or, with nil, removes) the lifecycle observer on
-// the network and every existing link; links added later inherit it. Attach
-// after the topology is built, before the clock runs.
-func (n *Network) SetObserver(o Observer) {
-	n.obs = o
+// Observe subscribes o to the lifecycle of every packet on the network,
+// on every existing link and on links added later. Subscribers hear each
+// event in subscription order. Subscribe after the topology is built,
+// before the clock runs.
+func (n *Network) Observe(o Observer) {
+	n.obs = append(slices.Clip(n.obs), o)
 	for _, l := range n.links {
-		l.obs = o
+		l.obs = n.obs
 	}
 }

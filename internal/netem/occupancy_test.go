@@ -50,7 +50,7 @@ func newShadowObs(t testing.TB, s *sim.Scheduler, net *Network) *shadowObs {
 	for _, l := range net.Links() {
 		o.queues[l] = &shadowQueue{l: l}
 	}
-	net.SetObserver(o)
+	net.Observe(o)
 	return o
 }
 
@@ -75,6 +75,7 @@ func (o *shadowObs) checkAll(where string) {
 func (o *shadowObs) PacketSent(*Packet)                                           {}
 func (o *shadowObs) PacketDelivered(*Link, *Packet)                               {}
 func (o *shadowObs) PacketDuplicated(*Link, *Packet, *Packet, sim.Time, sim.Time) {}
+func (o *shadowObs) PacketRepair(*Link, *Packet, RepairAction, sim.Time)          {}
 
 func (o *shadowObs) PacketEnqueued(l *Link, _ *Packet, _, txEnd, _ sim.Time) {
 	sq := o.queues[l]

@@ -181,14 +181,6 @@ func (a RepairAction) String() string {
 	return "unknown"
 }
 
-// RepairObserver is the optional tracing extension for middlebox
-// lifecycle events: an Observer that also implements it receives one
-// callback per hold and release, with the custody duration on releases.
-// The link type-asserts per event, so plain observers are unaffected.
-type RepairObserver interface {
-	PacketRepair(l *Link, p *Packet, action RepairAction, heldFor sim.Time)
-}
-
 // repairEntry is one held packet in a flow's sequence-ordered buffer.
 // Entries are pooled (the fastclick TCPReorder idiom): the box recycles
 // them through a free list, nilling the packet pointer so a stale entry
@@ -605,11 +597,10 @@ func repairTimerFire(arg any) {
 	}
 }
 
-// observe forwards one middlebox lifecycle event to the tracing seam, if
-// the attached observer cares about repair events.
+// observe reports one middlebox lifecycle event to the link's observers.
 func (b *RepairBox) observe(p *Packet, action RepairAction, heldFor sim.Time) {
-	if ro, ok := b.link.obs.(RepairObserver); ok {
-		ro.PacketRepair(b.link, p, action, heldFor)
+	for _, o := range b.link.obs {
+		o.PacketRepair(b.link, p, action, heldFor)
 	}
 }
 

@@ -274,9 +274,11 @@ func FuzzRepairBuffer(f *testing.F) {
 				gotDelivered[fl] = append(gotDelivered[fl], p.Payload.(SequencedPayload).RepairSeq())
 			})
 		}
-		l.OnDrop = func(p *Packet) {
-			gotDropped[p.Flow] = append(gotDropped[p.Flow], p.Payload.(SequencedPayload).RepairSeq())
-		}
+		net.Observe(funcObs(func(kind string, _ *Link, p *Packet) {
+			if kind == "drop" {
+				gotDropped[p.Flow] = append(gotDropped[p.Flow], p.Payload.(SequencedPayload).RepairSeq())
+			}
+		}))
 
 		sent := make(map[int]int)
 		var cursor time.Duration

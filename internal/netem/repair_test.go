@@ -256,11 +256,10 @@ func TestRepairOverflowForward(t *testing.T) {
 // reordering into loss, attributed to DropRepairOverflow.
 func TestRepairOverflowDrop(t *testing.T) {
 	box := NewRepairBox(RepairConfig{FlowCap: 2, HoldTimeout: 10 * time.Millisecond, Overflow: RepairDrop})
-	var dropped []DropCause
+	obs := &recordObs{}
 	got, l := repairRun(t, func(l *Link) {
 		l.SetRepair(box)
-		l.OnDrop = func(*Packet) {}
-		l.obs = dropObs{&dropped}
+		l.net.Observe(obs)
 	}, []repairSend{
 		{0, 1, 0},
 		{2 * time.Millisecond, 1, 2},
@@ -280,22 +279,13 @@ func TestRepairOverflowDrop(t *testing.T) {
 	if l.Stats().RepairDropped != 1 {
 		t.Errorf("LinkStats.RepairDropped = %d, want 1", l.Stats().RepairDropped)
 	}
-	if len(dropped) != 1 || dropped[0] != DropRepairOverflow {
-		t.Errorf("observer drops = %v, want one DropRepairOverflow", dropped)
+	if len(obs.drops) != 1 || obs.drops[0] != DropRepairOverflow {
+		t.Errorf("observer drops = %v, want one DropRepairOverflow", obs.drops)
 	}
 	if DropRepairOverflow.String() != "repair-overflow" {
 		t.Errorf("DropRepairOverflow.String() = %q", DropRepairOverflow)
 	}
 }
-
-// dropObs is a minimal Observer recording drop causes.
-type dropObs struct{ causes *[]DropCause }
-
-func (dropObs) PacketSent(*Packet)                                           {}
-func (dropObs) PacketEnqueued(*Link, *Packet, sim.Time, sim.Time, sim.Time)  {}
-func (dropObs) PacketDelivered(*Link, *Packet)                               {}
-func (o dropObs) PacketDropped(_ *Link, _ *Packet, c DropCause)              { *o.causes = append(*o.causes, c) }
-func (dropObs) PacketDuplicated(*Link, *Packet, *Packet, sim.Time, sim.Time) {}
 
 // TestRepairLRUEviction: admitting a flow past MaxFlows evicts the
 // least-recently-active flow and flushes its buffer unrepaired.

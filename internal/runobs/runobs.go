@@ -342,6 +342,16 @@ func (s *Session) Open(name string, horizon time.Duration, net *netem.Network, s
 			sc.samp.Start(0)
 		}
 	}
+	var flightPath string
+	// Trace exports keep the scope's name verbatim ("…_Inc by N.trace.json"),
+	// as they always have; every other stem is the sanitized one.
+	sc.jsonPath, sc.tsvPath, flightPath = o.tracePaths(name)
+	// The collector subscribes before the checker, so a violation's flight
+	// dump ends with the event that caused it.
+	if net != nil && (sc.jsonPath != "" || sc.tsvPath != "" || flightPath != "") {
+		sc.col = span.New(scheds[0], span.DefaultCap)
+		sc.col.AttachNetwork(net)
+	}
 	if o.Check && net != nil {
 		sc.ck = invariant.New(scheds[0])
 		sc.ck.AttachNetwork(net)
@@ -349,19 +359,11 @@ func (s *Session) Open(name string, horizon time.Duration, net *netem.Network, s
 			sc.ck.SetMetrics(sc.reg)
 		}
 	}
-	var flightPath string
-	// Trace exports keep the scope's name verbatim ("…_Inc by N.trace.json"),
-	// as they always have; every other stem is the sanitized one.
-	sc.jsonPath, sc.tsvPath, flightPath = o.tracePaths(name)
-	if net != nil && (sc.jsonPath != "" || sc.tsvPath != "" || flightPath != "") {
-		sc.col = span.New(scheds[0], span.DefaultCap)
-		sc.col.AttachNetwork(net)
-		if flightPath != "" {
-			sc.flight = &stream{path: flightPath}
-			sc.fr = span.NewFlightRecorder(sc.col, sc.flight)
-			if sc.ck != nil {
-				sc.fr.ArmChecker(sc.ck)
-			}
+	if sc.col != nil && flightPath != "" {
+		sc.flight = &stream{path: flightPath}
+		sc.fr = span.NewFlightRecorder(sc.col, sc.flight)
+		if sc.ck != nil {
+			sc.fr.ArmChecker(sc.ck)
 		}
 	}
 	if o.engine() {

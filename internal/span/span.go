@@ -185,9 +185,9 @@ func New(sched *sim.Scheduler, capacity int) *Collector {
 	}
 }
 
-// AttachNetwork installs the collector as the network's lifecycle
-// observer. Call after the topology is built.
-func (c *Collector) AttachNetwork(n *netem.Network) { n.SetObserver(c) }
+// AttachNetwork subscribes the collector to the network's packet
+// lifecycle. Call after the topology is built.
+func (c *Collector) AttachNetwork(n *netem.Network) { n.Observe(c) }
 
 // AttachFlow registers a flow under its protocol label and, when the
 // sender supports it, installs a probe for its control-plane transitions.
@@ -288,7 +288,6 @@ func (c *Collector) FaultApplied(at sim.Time, link, note string) {
 // --- netem.Observer ---
 
 var _ netem.Observer = (*Collector)(nil)
-var _ netem.RepairObserver = (*Collector)(nil)
 
 // PacketSent implements netem.Observer. For data segments it also
 // maintains the retransmit chain: a retransmission's packet (and event)
@@ -353,7 +352,7 @@ func (c *Collector) PacketDuplicated(l *netem.Link, orig, dup *netem.Packet, txE
 	})
 }
 
-// PacketRepair implements netem.RepairObserver: one event per middlebox
+// PacketRepair implements netem.Observer: one event per middlebox
 // custody transition, with the action label in Note and the custody
 // duration (seconds, 0 for holds) in A.
 func (c *Collector) PacketRepair(l *netem.Link, p *netem.Packet, action netem.RepairAction, heldFor sim.Time) {

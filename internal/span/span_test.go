@@ -1,9 +1,11 @@
 package span
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"tcppr/internal/invariant"
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
@@ -20,6 +22,15 @@ import (
 // be compared.
 func runBlackoutScenario(t *testing.T, protocol string, collect bool) (*Collector, *tcp.Flow, netem.LinkStats) {
 	t.Helper()
+	c, _, f, st := runBlackoutChecked(t, protocol, collect, false)
+	return c, f, st
+}
+
+// runBlackoutChecked is runBlackoutScenario with, when check is set, an
+// invariant Checker subscribed after the collector and finished at the
+// horizon.
+func runBlackoutChecked(t *testing.T, protocol string, collect, check bool) (*Collector, *invariant.Checker, *tcp.Flow, netem.LinkStats) {
+	t.Helper()
 	sched := sim.NewScheduler()
 	d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1, BottleneckBW: topo.Mbps(6)})
 	var c *Collector
@@ -27,16 +38,27 @@ func runBlackoutScenario(t *testing.T, protocol string, collect bool) (*Collecto
 		c = New(sched, 1<<16)
 		c.AttachNetwork(d.Net)
 	}
+	var ck *invariant.Checker
+	if check {
+		ck = invariant.New(sched)
+		ck.AttachNetwork(d.Net)
+	}
 	f := tcp.NewFlow(d.Net, 1, d.Src(0), d.Dst(0),
 		routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
 	workload.NewFlow(f, protocol, workload.PRParams{Alpha: 0.995, Beta: 3}, 0)
 	if c != nil {
 		c.AttachFlow(f, protocol)
 	}
+	if ck != nil {
+		ck.AttachFlow(f, protocol)
+	}
 	sched.At(sim.Time(time.Second), func() { d.Bottleneck.SetDown(true) })
 	sched.At(sim.Time(1600*time.Millisecond), func() { d.Bottleneck.SetDown(false) })
 	sched.RunUntil(sim.Time(5 * time.Second))
-	return c, f, d.Bottleneck.Stats()
+	if ck != nil {
+		ck.Finish()
+	}
+	return c, ck, f, d.Bottleneck.Stats()
 }
 
 // TestRetxChainLinkage is the retransmit-chain acceptance test: after a
@@ -160,26 +182,43 @@ func TestTrailOfFollowsRetxChain(t *testing.T) {
 	}
 }
 
-// TestTracingDoesNotPerturbDynamics: attaching a collector must not change
-// what the simulation computes — same delivered bytes, same retransmission
-// count, same link counters as the detached run.
+// TestTracingDoesNotPerturbDynamics: attaching a collector, alone or with
+// an invariant checker subscribed beside it, must not change what the
+// simulation computes — same delivered bytes, same retransmission count,
+// same link counters as the detached run. With the checker the collector
+// records exactly the collector-only run's events, and the checker finds
+// nothing.
 func TestTracingDoesNotPerturbDynamics(t *testing.T) {
 	for _, proto := range []string{workload.TCPPR, workload.NewReno} {
 		t.Run(proto, func(t *testing.T) {
 			_, fOff, stOff := runBlackoutScenario(t, proto, false)
-			c, fOn, stOn := runBlackoutScenario(t, proto, true)
-			if c.Emitted() == 0 {
-				t.Fatal("attached run recorded nothing")
-			}
-			if fOff.UniqueBytes() != fOn.UniqueBytes() {
-				t.Errorf("unique bytes diverge: detached %d, attached %d", fOff.UniqueBytes(), fOn.UniqueBytes())
-			}
-			if fOff.DataSent() != fOn.DataSent() || fOff.DataRetx() != fOn.DataRetx() {
-				t.Errorf("send counts diverge: detached %d/%d, attached %d/%d",
-					fOff.DataSent(), fOff.DataRetx(), fOn.DataSent(), fOn.DataRetx())
-			}
-			if stOff != stOn {
-				t.Errorf("bottleneck stats diverge:\ndetached %+v\nattached %+v", stOff, stOn)
+			var collectorOnly []Event
+			for _, check := range []bool{false, true} {
+				c, ck, fOn, stOn := runBlackoutChecked(t, proto, true, check)
+				if c.Emitted() == 0 {
+					t.Fatal("attached run recorded nothing")
+				}
+				if fOff.UniqueBytes() != fOn.UniqueBytes() {
+					t.Errorf("check=%v: unique bytes diverge: detached %d, attached %d", check, fOff.UniqueBytes(), fOn.UniqueBytes())
+				}
+				if fOff.DataSent() != fOn.DataSent() || fOff.DataRetx() != fOn.DataRetx() {
+					t.Errorf("check=%v: send counts diverge: detached %d/%d, attached %d/%d", check,
+						fOff.DataSent(), fOff.DataRetx(), fOn.DataSent(), fOn.DataRetx())
+				}
+				if stOff != stOn {
+					t.Errorf("check=%v: bottleneck stats diverge:\ndetached %+v\nattached %+v", check, stOff, stOn)
+				}
+				if !check {
+					collectorOnly = c.Events()
+					continue
+				}
+				if !slices.Equal(c.Events(), collectorOnly) {
+					t.Errorf("with the checker subscribed the collector recorded %d events, want the collector-only run's %d",
+						len(c.Events()), len(collectorOnly))
+				}
+				if ck.Total() != 0 {
+					t.Errorf("checker found %d violations: %v", ck.Total(), ck.Err())
+				}
 			}
 		})
 	}
