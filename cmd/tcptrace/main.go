@@ -18,8 +18,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,128 +38,151 @@ import (
 	"tcppr/internal/workload"
 )
 
-func main() {
-	protocol := flag.String("protocol", "TCP-PR", "sender variant (see tcpsim for the list)")
-	scenario := flag.String("scenario", "multipath", "multipath|dumbbell|jitter")
-	eps := flag.Float64("eps", 0, "multipath epsilon")
-	delay := flag.Duration("delay", 10*time.Millisecond, "per-link delay (multipath)")
-	jitter := flag.Duration("jitter", 30*time.Millisecond, "bottleneck jitter (jitter scenario)")
-	duration := flag.Duration("duration", 10*time.Second, "simulated duration")
-	out := flag.String("out", "", "write the full event trace TSV to this file")
-	seed := flag.Int64("seed", 42, "random seed")
-	perfetto := flag.String("perfetto", "", "convert this endpoint trace TSV to Chrome trace JSON (-out or stdout) and exit")
-	validate := flag.String("validate", "", "validate this Chrome trace JSON file and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *validate != "" {
-		runValidate(*validate)
-		return
-	}
-	if *perfetto != "" {
-		runPerfetto(*perfetto, *out)
-		return
-	}
-
-	if !workload.Known(*protocol) {
-		fmt.Fprintf(os.Stderr, "tcptrace: unknown protocol %q (known: %s)\n",
-			*protocol, strings.Join(workload.AllProtocols(), ", "))
-		os.Exit(1)
+// run is the whole command: parse and validate args, convert, validate or
+// simulate, and return the exit status (0 ok, 1 the run failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tcptrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	protocol := fs.String("protocol", "TCP-PR", "sender variant (see tcpsim for the list)")
+	scenario := fs.String("scenario", "multipath", "multipath|dumbbell|jitter")
+	eps := fs.Float64("eps", 0, "multipath epsilon")
+	delay := fs.Duration("delay", 10*time.Millisecond, "per-link delay (multipath)")
+	jitter := fs.Duration("jitter", 30*time.Millisecond, "bottleneck jitter (jitter scenario)")
+	duration := fs.Duration("duration", 10*time.Second, "simulated duration")
+	out := fs.String("out", "", "write the full event trace TSV to this file")
+	seed := fs.Int64("seed", 42, "random seed")
+	perfetto := fs.String("perfetto", "", "convert this endpoint trace TSV to Chrome trace JSON (-out or stdout) and exit")
+	validate := fs.String("validate", "", "validate this Chrome trace JSON file and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
 
+	var err error
+	switch {
+	case *validate != "":
+		err = runValidate(*validate, stdout)
+	case *perfetto != "":
+		err = runPerfetto(*perfetto, *out, stdout)
+	default:
+		// Reject a bad invocation here, before anything is built: the
+		// topology and impairment constructors panic on these values.
+		bad := 0
+		for _, c := range []struct {
+			bad bool
+			msg string
+		}{
+			{!workload.Known(*protocol), fmt.Sprintf("unknown protocol %q (known: %s)", *protocol, strings.Join(workload.AllProtocols(), ", "))},
+			{*scenario != "multipath" && *scenario != "dumbbell" && *scenario != "jitter", fmt.Sprintf("unknown scenario %q (multipath|dumbbell|jitter)", *scenario)},
+			{*eps < 0, fmt.Sprintf("-eps cannot be negative, got %g", *eps)},
+			{*delay <= 0, fmt.Sprintf("-delay must be positive, got %v", *delay)},
+			{*jitter < 0, fmt.Sprintf("-jitter cannot be negative, got %v", *jitter)},
+			{*duration <= 0, fmt.Sprintf("-duration must be positive, got %v", *duration)},
+		} {
+			if c.bad {
+				fmt.Fprintln(stderr, "tcptrace:", c.msg)
+				bad++
+			}
+		}
+		if bad > 0 {
+			return 2
+		}
+		err = simulate(stdout, *protocol, *scenario, *eps, *delay, *jitter, *duration, *seed, *out)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "tcptrace:", err)
+		return 1
+	}
+	return 0
+}
+
+// simulate runs one flow through the scenario, prints its summary and,
+// with out set, writes the event trace TSV there.
+func simulate(stdout io.Writer, protocol, scenario string, eps float64, delay, jitter, duration time.Duration, seed int64, out string) error {
 	sched := sim.NewScheduler()
 	var flow *tcp.Flow
-
-	switch *scenario {
+	switch scenario {
 	case "multipath":
-		m := topo.NewMultipath(sched, 3, *delay)
-		fwd := routing.NewEpsilon(m.FwdPaths, *eps, sim.NewRand(sim.SplitSeed(*seed, 1)))
-		rev := routing.NewEpsilon(m.RevPaths, *eps, sim.NewRand(sim.SplitSeed(*seed, 2)))
+		m := topo.NewMultipath(sched, 3, delay)
+		fwd := routing.NewEpsilon(m.FwdPaths, eps, sim.NewRand(sim.SplitSeed(seed, 1)))
+		rev := routing.NewEpsilon(m.RevPaths, eps, sim.NewRand(sim.SplitSeed(seed, 2)))
 		flow = tcp.NewFlow(m.Net, 1, m.Src, m.Dst, fwd, rev)
-	case "dumbbell":
+	case "dumbbell", "jitter":
 		d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
+		if scenario == "jitter" {
+			d.Bottleneck.SetImpairment(netem.NewJitter(jitter, sim.NewRand(sim.SplitSeed(seed, 3))))
+		}
 		flow = tcp.NewFlow(d.Net, 1, d.Src(0), d.Dst(0),
 			routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
-	case "jitter":
-		d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
-		d.Bottleneck.SetImpairment(netem.NewJitter(*jitter, sim.NewRand(sim.SplitSeed(*seed, 3))))
-		flow = tcp.NewFlow(d.Net, 1, d.Src(0), d.Dst(0),
-			routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
-	default:
-		fmt.Fprintf(os.Stderr, "tcptrace: unknown scenario %q\n", *scenario)
-		os.Exit(1)
 	}
 
 	rec := trace.NewRecorder()
 	rec.Attach(flow)
-	wf := workload.NewFlow(flow, *protocol, workload.PRParams{}, 0)
-	sched.RunUntil(*duration)
+	wf := workload.NewFlow(flow, protocol, workload.PRParams{}, 0)
+	sched.RunUntil(duration)
 
-	goodput := stats.Mbps(stats.Throughput(wf.UniqueBytes(), *duration))
+	goodput := stats.Mbps(stats.Throughput(wf.UniqueBytes(), duration))
 	mn, md, mx := rec.ReorderExtents()
-	fmt.Printf("protocol:        %s\n", *protocol)
-	fmt.Printf("scenario:        %s\n", *scenario)
-	fmt.Printf("duration:        %v (simulated)\n", *duration)
-	fmt.Printf("goodput:         %.2f Mbps\n", goodput)
-	fmt.Printf("data sent:       %d (%d retransmissions)\n", flow.DataSent(), flow.DataRetx())
-	fmt.Printf("acks sent:       %d\n", flow.AcksSent())
-	fmt.Printf("reorder rate:    %.2f%% of arrivals\n", 100*rec.ReorderRate())
-	fmt.Printf("reorder extent:  min %d / median %d / max %d packets\n", mn, md, mx)
-	fmt.Printf("trace events:    %d\n", len(rec.Events))
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := rec.WriteTSV(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written:   %s\n", *out)
+	fmt.Fprintf(stdout, "protocol:        %s\n", protocol)
+	fmt.Fprintf(stdout, "scenario:        %s\n", scenario)
+	fmt.Fprintf(stdout, "duration:        %v (simulated)\n", duration)
+	fmt.Fprintf(stdout, "goodput:         %.2f Mbps\n", goodput)
+	fmt.Fprintf(stdout, "data sent:       %d (%d retransmissions)\n", flow.DataSent(), flow.DataRetx())
+	fmt.Fprintf(stdout, "acks sent:       %d\n", flow.AcksSent())
+	fmt.Fprintf(stdout, "reorder rate:    %.2f%% of arrivals\n", 100*rec.ReorderRate())
+	fmt.Fprintf(stdout, "reorder extent:  min %d / median %d / max %d packets\n", mn, md, mx)
+	fmt.Fprintf(stdout, "trace events:    %d\n", len(rec.Events))
+	if out == "" {
+		return nil
 	}
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(rec.WriteTSV(f), f.Close()); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace written:   %s\n", out)
+	return nil
 }
 
 // runPerfetto converts an endpoint trace TSV into Chrome trace-event JSON.
-func runPerfetto(in, out string) {
+func runPerfetto(in, out string, stdout io.Writer) error {
 	f, err := os.Open(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
-	w := os.Stdout
-	if out != "" {
-		w, err = os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer w.Close()
-	}
 	name := strings.TrimSuffix(filepath.Base(in), filepath.Ext(in))
-	if err := span.ConvertEndpointTSV(f, w, name); err != nil {
-		fatal(err)
+	if out == "" {
+		return span.ConvertEndpointTSV(f, stdout, name)
 	}
-	if out != "" {
-		fmt.Printf("converted %s -> %s (load at ui.perfetto.dev)\n", in, out)
+	o, err := os.Create(out)
+	if err != nil {
+		return err
 	}
+	if err := errors.Join(span.ConvertEndpointTSV(f, o, name), o.Close()); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "converted %s -> %s (load at ui.perfetto.dev)\n", in, out)
+	return nil
 }
 
-// runValidate checks a Chrome trace file and exits nonzero on failure.
-func runValidate(path string) {
+// runValidate checks a Chrome trace file; an error makes the exit nonzero.
+func runValidate(path string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	n, err := span.ValidateChromeTrace(f)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	fmt.Printf("%s: ok (%d events)\n", path, n)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tcptrace:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "%s: ok (%d events)\n", path, n)
+	return nil
 }
