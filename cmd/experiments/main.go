@@ -71,6 +71,7 @@ import (
 	"tcppr/internal/engineobs"
 	"tcppr/internal/experiments"
 	"tcppr/internal/invariant/fuzzer"
+	"tcppr/internal/netem"
 	"tcppr/internal/profiling"
 	"tcppr/internal/runobs"
 )
@@ -128,6 +129,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *fuzz < 0 {
 		reject("-fuzz cannot be negative, got %d", *fuzz)
+	}
+	if *repair != "" {
+		if _, err := netem.RepairScenarioByName(*repair); err != nil {
+			reject("%v", err)
+		}
 	}
 	if (obs.Heartbeat > 0 || obs.WatchdogTimeout > 0) && !drivesEngine {
 		reject("-heartbeat/-watchdog-timeout watch the parallel engine; -run %s never drives it (use -run city or all)", *runName)

@@ -50,6 +50,7 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{"negative parallel", []string{"-parallel", "-1"}, 1},
 		{"negative shards", []string{"-shards", "-1"}, 1},
 		{"negative fuzz", []string{"-fuzz", "-3"}, 1},
+		{"unknown repair scenario", []string{"-run", "repairmatrix", "-quick", "-repair", "bogus", "-csv", "D/csv"}, 1},
 		{"negative heartbeat", []string{"-heartbeat", "-1s"}, 1},
 		{"negative watchdog", []string{"-watchdog-timeout", "-1s"}, 1},
 		{"engine profile without metrics", []string{"-run", "city", "-engine-profile"}, 1},

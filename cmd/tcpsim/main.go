@@ -218,8 +218,8 @@ func (sc *scenario) problems(fs *flag.FlagSet, protocols string) []string {
 	if sc.warm < 0 {
 		reject("-warm cannot be negative, got %v", sc.warm)
 	}
-	if sc.eps < 0 || sc.eps > 1 {
-		reject("-eps must be a probability in [0,1], got %g", sc.eps)
+	if sc.eps < 0 {
+		reject("-eps cannot be negative, got %g", sc.eps)
 	}
 	if sc.delay <= 0 {
 		reject("-delay must be positive, got %v", sc.delay)

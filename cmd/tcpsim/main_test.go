@@ -53,7 +53,7 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{"zero flows", []string{"-flows", "0"}, 1},
 		{"negative duration", []string{"-duration", "-1s"}, 1},
 		{"negative warm", []string{"-warm", "-1s"}, 1},
-		{"eps out of range", []string{"-eps", "2"}, 1},
+		{"eps out of range", []string{"-eps", "-1"}, 1},
 		{"zero delay", []string{"-delay", "0s"}, 1},
 		{"alpha out of range", []string{"-alpha", "1"}, 1},
 		{"beta below one", []string{"-beta", "0.5"}, 1},
@@ -81,7 +81,7 @@ func TestBadInvocationsExitTwo(t *testing.T) {
 		{"empty trace path", []string{"-trace", ""}, 1},
 		{"empty trace-tsv path", []string{"-trace-tsv", ""}, 1},
 		{"empty flight path", []string{"-flight-recorder", ""}, 1},
-		{"three problems at once", []string{"-flows", "0", "-eps", "7", "-metrics", "D", "-topology", "city", "-trace", "D/x.json"}, 3},
+		{"three problems at once", []string{"-flows", "0", "-eps", "-7", "-metrics", "D", "-topology", "city", "-trace", "D/x.json"}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -146,6 +146,8 @@ func TestGoodRunFileSets(t *testing.T) {
 			[]string{"tcpsim_city.manifest.json"}},
 		{"nothing requested, nothing written",
 			[]string{"-duration", "1s", "-warm", "1s", "-flows", "2"}, nil, nil},
+		{"multipath at a Gibbs exponent above 1",
+			[]string{"-topology", "multipath", "-protocols", "TCP-PR", "-eps", "4", "-duration", "1s", "-warm", "1s"}, nil, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

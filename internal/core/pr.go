@@ -97,17 +97,13 @@ func (h HoleMode) String() string {
 }
 
 // Config parameterizes a TCP-PR sender. The zero value selects the
-// paper's settings: α = 0.995, β = 3, two Newton iterations, initial
-// congestion window 1.
+// paper's settings: α = 0.995, β = 3, initial congestion window 1.
 type Config struct {
 	// Alpha is the ewrtt memory factor per RTT, in (0, 1); default 0.995.
 	Alpha float64
 	// Beta scales ewrtt into the loss-detection threshold mxrtt; the
 	// paper requires β > 1 and uses 3.0 as the default.
 	Beta float64
-	// NewtonIters is the number of Newton iterations used to approximate
-	// α^(1/cwnd); the paper's implementation uses 2.
-	NewtonIters int
 	// MaxCwnd caps the congestion window in packets (receiver window);
 	// default 10000.
 	MaxCwnd float64
@@ -122,12 +118,6 @@ type Config struct {
 	// simulations used; pass a negative value for an unbounded initial
 	// slow start.
 	InitialSsthresh float64
-	// InitialMxrtt is the loss-detection threshold before the first RTT
-	// sample (the conventional 3 s initial RTO); default 3 s.
-	InitialMxrtt time.Duration
-	// MaxBackoff caps the exponential back-off of mxrtt under extreme
-	// loss; default 64 s.
-	MaxBackoff time.Duration
 	// DisableMemorize turns off the memorize list (ablation only): every
 	// detected drop halves the window, so a burst of drops from one
 	// congestion event compounds into repeated reductions.
@@ -153,15 +143,21 @@ type Config struct {
 	MaxBurst int
 }
 
+// Fixed parameters. The paper's implementation approximates α^(1/cwnd)
+// with two Newton iterations; before the first RTT sample mxrtt is the
+// conventional 3 s initial RTO; extreme loss doubles mxrtt up to 64 s.
+const (
+	newtonIters  = 2
+	initialMxrtt = 3 * time.Second
+	maxBackoff   = 64 * time.Second
+)
+
 func (c *Config) fill() {
 	if c.Alpha == 0 {
 		c.Alpha = 0.995
 	}
 	if c.Beta == 0 {
 		c.Beta = 3.0
-	}
-	if c.NewtonIters == 0 {
-		c.NewtonIters = 2
 	}
 	if c.MaxCwnd == 0 {
 		c.MaxCwnd = 10000
@@ -173,12 +169,6 @@ func (c *Config) fill() {
 		c.InitialSsthresh = 20
 	} else if c.InitialSsthresh < 0 {
 		c.InitialSsthresh = math.Inf(1)
-	}
-	if c.InitialMxrtt == 0 {
-		c.InitialMxrtt = 3 * time.Second
-	}
-	if c.MaxBackoff == 0 {
-		c.MaxBackoff = 64 * time.Second
 	}
 	if c.MaxBurst == 0 {
 		c.MaxBurst = 1
@@ -276,7 +266,7 @@ func New(env tcp.SenderEnv, cfg Config) *Sender {
 		mode:     SlowStart,
 		cwnd:     cfg.InitialCwnd,
 		ssthr:    cfg.InitialSsthresh,
-		mxrtt:    cfg.InitialMxrtt,
+		mxrtt:    initialMxrtt,
 		inflight: make(map[int64]*flight),
 	}
 	s.resumeTimer = sim.NewTimer(env.Sched, s.flush)
@@ -501,7 +491,7 @@ func (s *Sender) updateEwrtt(sample time.Duration) {
 	if s.ewrtt == 0 {
 		s.ewrtt = sample
 	} else {
-		decay := NewtonRoot(s.cfg.Alpha, s.cwnd, s.cfg.NewtonIters)
+		decay := NewtonRoot(s.cfg.Alpha, s.cwnd, newtonIters)
 		decayed := time.Duration(float64(s.ewrtt) * decay)
 		if sample > decayed {
 			s.ewrtt = sample
@@ -615,8 +605,8 @@ func (s *Sender) onDrop(seq int64, f *flight, revealed bool) {
 			return // connection aborted; Stop has already run
 		}
 		s.mxrtt *= 2
-		if s.mxrtt > s.cfg.MaxBackoff {
-			s.mxrtt = s.cfg.MaxBackoff
+		if s.mxrtt > maxBackoff {
+			s.mxrtt = maxBackoff
 		}
 		if s.probe != nil {
 			s.probe.ProbeRTT(s.env.Now(), s.ewrtt, s.mxrtt)

@@ -34,15 +34,6 @@ type ChurnMatrixConfig struct {
 	// times, retry jitter). Host scenarios themselves are RNG-free, so a
 	// cell's abort/retry event log is a pure function of (Seed, cell).
 	Seed int64
-	// Retry is the per-transfer abort/retry policy. Zero fields default
-	// to an abort ladder short enough to resolve inside Total: R1=2,
-	// R2=3 (abort on the third consecutive RTO), 2 connection attempts,
-	// 500ms base backoff capped at 4s. Budget math: a connection opened
-	// against an already-dead host starts from the conservative initial
-	// RTO (no RTT samples), so its R2=3 ladder alone runs 21–39s
-	// depending on the variant — Total must cover FaultAt + one
-	// established-RTT ladder + one cold ladder per retry.
-	Retry workload.RetryConfig
 	// Obs is the run's telemetry session, as in FaultMatrixConfig.
 	Obs *runobs.Session
 }
@@ -63,18 +54,20 @@ func (c *ChurnMatrixConfig) fill() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Retry.Abort == (tcp.AbortConfig{}) {
-		c.Retry.Abort = tcp.AbortConfig{R1: 2, R2: 3}
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 2
-	}
-	if c.Retry.BaseBackoff == 0 {
-		c.Retry.BaseBackoff = 500 * time.Millisecond
-	}
-	if c.Retry.MaxBackoff == 0 {
-		c.Retry.MaxBackoff = 4 * time.Second
-	}
+}
+
+// churnRetry is the per-transfer abort/retry policy: an abort ladder short
+// enough to resolve inside Total. R1=2, R2=3 (abort on the third
+// consecutive RTO), 2 connection attempts, 500ms base backoff capped at
+// 4s. Budget math: a connection opened against an already-dead host starts
+// from the conservative initial RTO (no RTT samples), so its R2=3 ladder
+// alone runs 21–39s depending on the variant — Total must cover FaultAt +
+// one established-RTT ladder + one cold ladder per retry.
+var churnRetry = workload.RetryConfig{
+	Abort:       tcp.AbortConfig{R1: 2, R2: 3},
+	MaxAttempts: 2,
+	BaseBackoff: 500 * time.Millisecond,
+	MaxBackoff:  4 * time.Second,
 }
 
 // ChurnMatrixCell is one (host scenario, protocol) outcome.
@@ -142,7 +135,7 @@ func churnCell(c *cell[[]string], cfg ChurnMatrixConfig) func() ChurnMatrixCell 
 	cell := ChurnMatrixCell{Scenario: sc.Name, Protocol: proto, Recovery: -1}
 	disruptEnd := sim.Time(cfg.FaultAt) + sim.Time(sc.Disrupt)
 
-	retry := cfg.Retry // per-cell copy; OnOffSource fills the rest
+	retry := churnRetry // per-cell copy: the source keeps a pointer
 	src := workload.NewOnOffSource(c.net, 1000, slot.src, peer, slot.fwd, slot.rev,
 		workload.OnOffConfig{
 			MeanSizePkts: 100,
@@ -193,7 +186,7 @@ func churnCell(c *cell[[]string], cfg ChurnMatrixConfig) func() ChurnMatrixCell 
 func (r ChurnMatrixResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Extension: endpoint-churn matrix — retrying web workload, 15 Mbps dumbbell, %v run, churn at %v (R2=%d, %d attempts)",
-			r.Config.Total, r.Config.FaultAt, r.Config.Retry.Abort.R2, r.Config.Retry.MaxAttempts),
+			r.Config.Total, r.Config.FaultAt, churnRetry.Abort.R2, churnRetry.MaxAttempts),
 		Header: []string{"scenario", "protocol", "goodput (Mbps)", "transfers",
 			"aborts", "spurious", "retries", "gave up", "recovery (s)"},
 		csv: "churnmatrix.csv",

@@ -38,7 +38,7 @@ func TestChurnMatrix(t *testing.T) {
 			len(res.Cells), wantCells, len(cfg.Protocols))
 	}
 
-	attempts := res.Config.Retry.MaxAttempts
+	attempts := churnRetry.MaxAttempts
 	for _, c := range res.Cells {
 		if c.FaultEvents == 0 {
 			t.Errorf("%s/%s applied no host faults", c.Scenario, c.Protocol)

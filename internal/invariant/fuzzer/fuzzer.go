@@ -32,9 +32,6 @@ type Config struct {
 	// Seed is the campaign base seed; scenario i runs with
 	// sim.SplitSeed(Seed, i).
 	Seed int64
-	// Protocols restricts the variant pool (default: every registered
-	// variant).
-	Protocols []string
 	// Duration is the per-scenario virtual run length before the cool-down
 	// (default 20 s; fault scenarios extend it by their disrupt window).
 	Duration time.Duration
@@ -53,9 +50,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if len(c.Protocols) == 0 {
-		c.Protocols = workload.AllProtocols()
-	}
 	if c.Duration <= 0 {
 		c.Duration = 20 * time.Second
 	}
@@ -179,8 +173,9 @@ func runDumbbell(seed int64, rng *rand.Rand, cfg Config) (string, *invariant.Che
 	scens := faults.Scenarios()
 	scen := scens[rng.Intn(len(scens))]
 	protos := make([]string, hosts)
+	all := workload.AllProtocols()
 	for i := range protos {
-		protos[i] = cfg.Protocols[rng.Intn(len(cfg.Protocols))]
+		protos[i] = all[rng.Intn(len(all))]
 	}
 
 	sched := sim.NewScheduler()
@@ -225,8 +220,9 @@ func runMultipath(seed int64, rng *rand.Rand, cfg Config) (string, *invariant.Ch
 	eps := epss[rng.Intn(len(epss))]
 	flows := 1 + rng.Intn(2)
 	protos := make([]string, flows)
+	all := workload.AllProtocols()
 	for i := range protos {
-		protos[i] = cfg.Protocols[rng.Intn(len(cfg.Protocols))]
+		protos[i] = all[rng.Intn(len(all))]
 	}
 
 	sched := sim.NewScheduler()

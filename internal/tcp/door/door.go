@@ -25,19 +25,17 @@ import (
 type Config struct {
 	// Reno configures the underlying NewReno sender.
 	Reno reno.Config
-	// T1 is the congestion-control-disable interval after an
-	// out-of-order event. [20] leaves the constant open; we default to
-	// one smoothed RTT estimate sampled at the event, floored at 100 ms.
-	T1 time.Duration
-	// T2 is the look-back window for instant recovery; default equals
-	// T1's rule.
-	T2 time.Duration
 }
+
+// minT1 floors T1, the congestion-control-disable interval after an
+// out-of-order event. [20] leaves the constant open; T1 is one smoothed
+// RTT estimate sampled at the event, floored here. T2, the look-back
+// window for instant recovery, equals T1.
+const minT1 = 100 * time.Millisecond
 
 // Sender is a TCP-DOOR sender.
 type Sender struct {
 	*reno.Sender
-	cfg   Config
 	sched *sim.Scheduler
 
 	maxEchoTxSeq int64
@@ -57,7 +55,7 @@ type Sender struct {
 
 // New builds a TCP-DOOR sender.
 func New(env tcp.SenderEnv, cfg Config) *Sender {
-	s := &Sender{cfg: cfg, sched: env.Sched}
+	s := &Sender{sched: env.Sched}
 	rcfg := cfg.Reno
 	rcfg.NewReno = true
 	rcfg.GateReduction = func() bool { return env.Sched.Now() >= s.oooUntil }
@@ -98,22 +96,12 @@ func (s *Sender) onOOO() {
 	s.OOOEvents++
 	now := s.sched.Now()
 
-	t1 := s.cfg.T1
-	if t1 == 0 {
-		t1 = s.SRTT()
-		if t1 < 100*time.Millisecond {
-			t1 = 100 * time.Millisecond
-		}
-	}
+	t1 := max(s.SRTT(), minT1)
 	if until := now + t1; until > s.oooUntil {
 		s.oooUntil = until
 	}
 
-	t2 := s.cfg.T2
-	if t2 == 0 {
-		t2 = t1
-	}
-	if s.lastReduction.valid && now-s.lastReduction.at <= t2 {
+	if s.lastReduction.valid && now-s.lastReduction.at <= t1 { // T2 = T1
 		// Instant recovery: the recent congestion response was likely
 		// triggered by this reordering event, not by loss.
 		s.InstantRecoveries++

@@ -80,7 +80,7 @@ func TestDoorDetectsReceiverReportedOOO(t *testing.T) {
 
 func TestDoorDisablesCongestionResponseDuringT1(t *testing.T) {
 	h := newHarness()
-	s := New(h.env(), Config{T1: time.Second})
+	s := New(h.env(), Config{})
 	grow(t, h, s, 8)
 	una := s.Una()
 	cwnd := s.Cwnd()
@@ -108,7 +108,7 @@ func TestDoorDisablesCongestionResponseDuringT1(t *testing.T) {
 
 func TestDoorInstantRecovery(t *testing.T) {
 	h := newHarness()
-	s := New(h.env(), Config{T1: time.Second, T2: time.Second})
+	s := New(h.env(), Config{})
 	grow(t, h, s, 8)
 	una := s.Una()
 	cwndBefore := s.Cwnd()
@@ -121,7 +121,7 @@ func TestDoorInstantRecovery(t *testing.T) {
 	}
 	// ...then reordering is detected within T2: the reduction must be
 	// undone (ssthresh restored so slow start climbs back).
-	h.sched.RunUntil(h.sched.Now() + 100*time.Millisecond)
+	h.sched.RunUntil(h.sched.Now() + 50*time.Millisecond)
 	s.OnAck(tcp.Ack{CumAck: una + 4, EchoSeq: una, OOO: true})
 	if s.InstantRecoveries != 1 {
 		t.Fatalf("InstantRecoveries = %d, want 1", s.InstantRecoveries)
@@ -134,7 +134,7 @@ func TestDoorInstantRecovery(t *testing.T) {
 
 func TestDoorNoInstantRecoveryAfterT2(t *testing.T) {
 	h := newHarness()
-	s := New(h.env(), Config{T1: 50 * time.Millisecond, T2: 50 * time.Millisecond})
+	s := New(h.env(), Config{})
 	grow(t, h, s, 8)
 	una := s.Una()
 	for i := int64(1); i <= 3; i++ {

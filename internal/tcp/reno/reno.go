@@ -43,23 +43,21 @@ func (c CountTrigger) OnDupAck(count int, _ time.Duration, fire func()) {
 func (c CountTrigger) OnAdvance() {}
 
 // Config parameterizes a Reno-family sender. The zero value selects
-// classic Reno defaults (dupthresh 3, initial cwnd 1, 1 s minimum RTO).
+// classic Reno: dupthresh 3, initial cwnd 1, and the tcp package's RFC
+// 6298 timer bounds (1 s minimum, 64 s maximum, 3 s initial RTO). The
+// threshold, initial window and timer bounds are fixed.
 type Config struct {
 	// NewReno enables NewReno partial-ACK handling (stay in recovery and
 	// retransmit the next hole instead of exiting on the first new ACK).
 	NewReno bool
-	// DupThresh is the duplicate-ACK threshold (default 3). Ignored when
-	// Trigger is set.
-	DupThresh int
-	// Trigger overrides the recovery-entry rule (used by TD-FR).
+	// Trigger overrides the recovery-entry rule, the third duplicate ACK
+	// (used by TD-FR).
 	Trigger Trigger
 	// LimitedTransmit enables RFC 3042: send up to two new segments on
 	// the first two duplicate ACKs.
 	LimitedTransmit bool
 	// MaxCwnd is the receiver-window cap in packets (default 10000).
 	MaxCwnd float64
-	// InitialCwnd is the initial congestion window (default 1).
-	InitialCwnd float64
 	// MaxData bounds the transfer at this many segments (0 = infinite
 	// backlog). Once everything below MaxData is acknowledged the sender
 	// goes quiescent: no new data, timers cancelled.
@@ -68,9 +66,6 @@ type Config struct {
 	// (default 20, the ns-2 TCP agent default the paper's simulations
 	// used; negative means unbounded).
 	InitialSsthresh float64
-	// MinRTO, MaxRTO, InitialRTO bound the retransmission timer; zero
-	// values select the tcp package defaults (1 s / 64 s / 3 s).
-	MinRTO, MaxRTO, InitialRTO time.Duration
 	// GateReduction, when non-nil, is consulted before every congestion
 	// response (fast retransmit's halving and the timeout's collapse to
 	// one segment). Returning false suppresses the window change —
@@ -85,17 +80,11 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.DupThresh == 0 {
-		c.DupThresh = 3
-	}
 	if c.Trigger == nil {
-		c.Trigger = CountTrigger{Thresh: c.DupThresh}
+		c.Trigger = CountTrigger{Thresh: 3}
 	}
 	if c.MaxCwnd == 0 {
 		c.MaxCwnd = 10000
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 1
 	}
 	if c.InitialSsthresh == 0 {
 		c.InitialSsthresh = 20
@@ -138,9 +127,9 @@ func New(env tcp.SenderEnv, cfg Config) *Sender {
 	s := &Sender{
 		env:      env,
 		cfg:      cfg,
-		cwnd:     cfg.InitialCwnd,
+		cwnd:     1,
 		ssthresh: cfg.InitialSsthresh,
-		rto:      tcp.NewRTOEstimator(cfg.MinRTO, cfg.MaxRTO, cfg.InitialRTO),
+		rto:      tcp.NewRTOEstimator(0, 0, 0),
 	}
 	s.rtxTimer = sim.NewTimer(env.Sched, s.onTimeout)
 	return s

@@ -312,7 +312,7 @@ func TestRenoMaxCwndCap(t *testing.T) {
 
 func TestRenoRTOBackoffSequence(t *testing.T) {
 	h := newHarness()
-	s := New(h.env(), Config{MinRTO: time.Second, MaxRTO: 16 * time.Second})
+	s := New(h.env(), Config{})
 	s.Start()
 	h.take()
 	var fireTimes []sim.Time

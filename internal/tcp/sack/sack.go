@@ -24,8 +24,9 @@ type DupThreshPolicy interface {
 }
 
 // Config parameterizes a SACK sender. The zero value gives standard
-// TCP-SACK (dupthresh 3, initial cwnd 1, 1 s minimum RTO, no DSACK
-// response).
+// TCP-SACK: dupthresh 3, no DSACK response, no limited transmit. The
+// initial window (1), the receiver-window cap (10000 packets) and the tcp
+// package's RFC 6298 timer bounds are fixed.
 type Config struct {
 	// DupThresh is the initial duplicate-ACK / SACK-segment threshold
 	// (default 3).
@@ -37,16 +38,8 @@ type Config struct {
 	Policy DupThreshPolicy
 	// ExtendedLimitedTransmit sends one new segment per duplicate ACK
 	// while below dupthresh (the extension [3] pairs with raised
-	// dupthresh values so the ACK clock never stalls). Plain RFC 3042
-	// limited transmit (two segments) is used when this is false but
-	// LimitedTransmit is true.
+	// dupthresh values so the ACK clock never stalls).
 	ExtendedLimitedTransmit bool
-	// LimitedTransmit enables RFC 3042.
-	LimitedTransmit bool
-	// MaxCwnd is the receiver-window cap in packets (default 10000).
-	MaxCwnd float64
-	// InitialCwnd is the initial congestion window (default 1).
-	InitialCwnd float64
 	// MaxData bounds the transfer at this many segments (0 = infinite
 	// backlog). Once everything below MaxData is acknowledged the sender
 	// goes quiescent: no new data, timers cancelled.
@@ -55,20 +48,14 @@ type Config struct {
 	// (default 20, the ns-2 TCP agent default the paper's simulations
 	// used; negative means unbounded).
 	InitialSsthresh float64
-	// MinRTO, MaxRTO, InitialRTO bound the retransmission timer; zero
-	// values select the tcp package defaults.
-	MinRTO, MaxRTO, InitialRTO time.Duration
 }
+
+// maxCwnd is the receiver-window cap in packets.
+const maxCwnd = 10000
 
 func (c *Config) fill() {
 	if c.DupThresh == 0 {
 		c.DupThresh = 3
-	}
-	if c.MaxCwnd == 0 {
-		c.MaxCwnd = 10000
-	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 1
 	}
 	if c.InitialSsthresh == 0 {
 		c.InitialSsthresh = 20
@@ -126,10 +113,10 @@ func New(env tcp.SenderEnv, cfg Config) *Sender {
 	s := &Sender{
 		env:       env,
 		cfg:       cfg,
-		cwnd:      cfg.InitialCwnd,
+		cwnd:      1,
 		ssthresh:  cfg.InitialSsthresh,
 		dupThresh: cfg.DupThresh,
-		rto:       tcp.NewRTOEstimator(cfg.MinRTO, cfg.MaxRTO, cfg.InitialRTO),
+		rto:       tcp.NewRTOEstimator(0, 0, 0),
 	}
 	s.rtxTimer = sim.NewTimer(env.Sched, s.onTimeout)
 	return s
@@ -224,8 +211,8 @@ func (s *Sender) onNewAck(ack tcp.Ack) {
 		} else {
 			s.cwnd += 1 / s.cwnd
 		}
-		if s.cwnd > s.cfg.MaxCwnd {
-			s.cwnd = s.cfg.MaxCwnd
+		if s.cwnd > maxCwnd {
+			s.cwnd = maxCwnd
 		}
 	}
 	s.restartTimer()
@@ -368,17 +355,8 @@ func (s *Sender) Done() bool {
 
 func (s *Sender) sendAllowance() int64 {
 	allow := s.una + int64(s.cwnd)
-	if s.dupacks > 0 && !s.inRecovery {
-		switch {
-		case s.cfg.ExtendedLimitedTransmit:
-			allow += int64(s.dupacks)
-		case s.cfg.LimitedTransmit:
-			lt := s.dupacks
-			if lt > 2 {
-				lt = 2
-			}
-			allow += int64(lt)
-		}
+	if s.cfg.ExtendedLimitedTransmit && !s.inRecovery {
+		allow += int64(s.dupacks)
 	}
 	return allow
 }

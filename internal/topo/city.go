@@ -13,15 +13,15 @@ import (
 // boundary, while long-lived flows between neighbouring districts ride
 // the backbone — and, when the ring is cut, the cross-shard portals.
 //
-// Zero values select: 400 Mbps / 5 ms backbone, 100 Mbps / 1 ms access,
-// 100-packet queues. The backbone delay doubles as the conservative
-// lookahead whenever the ring is cut, so it is deliberately the largest
-// delay in the city.
+// Zero values select: 5 ms backbone delay, 100 Mbps access, 100-packet
+// queues. The backbone bandwidth (400 Mbps) and the access delay (1 ms)
+// are fixed. The backbone delay doubles as the conservative lookahead
+// whenever the ring is cut, so it is deliberately the largest delay in the
+// city.
 type CityConfig struct {
 	Districts        int // number of districts (required)
 	HostsPerDistrict int // host nodes per district (required)
 
-	BackboneBW    int64
 	BackboneDelay time.Duration
 	// BackboneSkew, when non-zero, adds d×BackboneSkew to ring pair d's
 	// propagation delay (both directions), breaking the ring's perfect
@@ -33,9 +33,14 @@ type CityConfig struct {
 	// delay.
 	BackboneSkew time.Duration
 	AccessBW     int64
-	AccessDelay  time.Duration
 	Queue        int
 }
+
+// Fixed city link parameters.
+const (
+	cityBackboneBW  = 400e6 // bits/s
+	cityAccessDelay = time.Millisecond
+)
 
 func (c *CityConfig) fill() {
 	if c.Districts <= 0 {
@@ -44,17 +49,11 @@ func (c *CityConfig) fill() {
 	if c.HostsPerDistrict <= 0 {
 		panic("topo: CityConfig.HostsPerDistrict must be positive")
 	}
-	if c.BackboneBW == 0 {
-		c.BackboneBW = Mbps(400)
-	}
 	if c.BackboneDelay == 0 {
 		c.BackboneDelay = 5 * time.Millisecond
 	}
 	if c.AccessBW == 0 {
 		c.AccessBW = Mbps(100)
-	}
-	if c.AccessDelay == 0 {
-		c.AccessDelay = time.Millisecond
 	}
 	if c.Queue == 0 {
 		c.Queue = DefaultQueue
@@ -78,16 +77,16 @@ func NewCity(cfg CityConfig) Blueprint {
 		bp.AddNode(CityRouter(d), d)
 		for h := 0; h < cfg.HostsPerDistrict; h++ {
 			bp.AddNode(CityHost(d, h), d)
-			bp.AddDuplex(CityHost(d, h), CityRouter(d), cfg.AccessBW, cfg.AccessDelay, cfg.Queue)
+			bp.AddDuplex(CityHost(d, h), CityRouter(d), cfg.AccessBW, cityAccessDelay, cfg.Queue)
 		}
 	}
 	switch {
 	case cfg.Districts == 2:
-		bp.AddDuplex(CityRouter(0), CityRouter(1), cfg.BackboneBW, cfg.BackboneDelay, cfg.Queue)
+		bp.AddDuplex(CityRouter(0), CityRouter(1), cityBackboneBW, cfg.BackboneDelay, cfg.Queue)
 	case cfg.Districts > 2:
 		for d := 0; d < cfg.Districts; d++ {
 			delay := cfg.BackboneDelay + time.Duration(d)*cfg.BackboneSkew
-			bp.AddDuplex(CityRouter(d), CityRouter((d+1)%cfg.Districts), cfg.BackboneBW, delay, cfg.Queue)
+			bp.AddDuplex(CityRouter(d), CityRouter((d+1)%cfg.Districts), cityBackboneBW, delay, cfg.Queue)
 		}
 	}
 	return bp

@@ -35,17 +35,20 @@ type Dumbbell struct {
 	Bottleneck *netem.Link
 }
 
-// DumbbellConfig parameterizes NewDumbbell. Zero values select: 15 Mbps
-// bottleneck, 20 ms bottleneck delay, 100-packet queues, 100 Mbps / 2 ms
-// access links.
+// DumbbellConfig parameterizes NewDumbbell. Zero values select a 15 Mbps
+// bottleneck and 100-packet queues. The bottleneck delay (20 ms) and the
+// access links (100 Mbps / 2 ms) are fixed.
 type DumbbellConfig struct {
-	Hosts           int // number of source/sink pairs (required)
-	BottleneckBW    int64
-	BottleneckDelay time.Duration
-	AccessBW        int64
-	AccessDelay     time.Duration
-	Queue           int
+	Hosts        int // number of source/sink pairs (required)
+	BottleneckBW int64
+	Queue        int
 }
+
+// Fixed dumbbell link parameters.
+const (
+	dumbbellBottleneckDelay = 20 * time.Millisecond
+	dumbbellAccessDelay     = 2 * time.Millisecond
+)
 
 func (c *DumbbellConfig) fill() {
 	if c.Hosts <= 0 {
@@ -53,15 +56,6 @@ func (c *DumbbellConfig) fill() {
 	}
 	if c.BottleneckBW == 0 {
 		c.BottleneckBW = Mbps(15)
-	}
-	if c.BottleneckDelay == 0 {
-		c.BottleneckDelay = 20 * time.Millisecond
-	}
-	if c.AccessBW == 0 {
-		c.AccessBW = Mbps(100)
-	}
-	if c.AccessDelay == 0 {
-		c.AccessDelay = 2 * time.Millisecond
 	}
 	if c.Queue == 0 {
 		c.Queue = DefaultQueue
@@ -75,11 +69,11 @@ func NewDumbbell(sched *sim.Scheduler, cfg DumbbellConfig) *Dumbbell {
 	d := &Dumbbell{Net: net}
 	d.Left = net.Node("L")
 	d.Right = net.Node("R")
-	fwd, _ := net.AddDuplex("L", "R", cfg.BottleneckBW, cfg.BottleneckDelay, cfg.Queue)
+	fwd, _ := net.AddDuplex("L", "R", cfg.BottleneckBW, dumbbellBottleneckDelay, cfg.Queue)
 	d.Bottleneck = fwd
 	for i := 0; i < cfg.Hosts; i++ {
-		net.AddDuplex(fmt.Sprintf("s%d", i), "L", cfg.AccessBW, cfg.AccessDelay, cfg.Queue)
-		net.AddDuplex("R", fmt.Sprintf("d%d", i), cfg.AccessBW, cfg.AccessDelay, cfg.Queue)
+		net.AddDuplex(fmt.Sprintf("s%d", i), "L", Mbps(100), dumbbellAccessDelay, cfg.Queue)
+		net.AddDuplex("R", fmt.Sprintf("d%d", i), Mbps(100), dumbbellAccessDelay, cfg.Queue)
 	}
 	return d
 }

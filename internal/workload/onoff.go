@@ -20,9 +20,6 @@ import (
 type OnOffConfig struct {
 	// MeanSizePkts is the mean transfer size in packets (default 20).
 	MeanSizePkts float64
-	// ParetoShape is the size distribution's tail index (default 1.5,
-	// the classic heavy-tailed web value; must be > 1 for a finite mean).
-	ParetoShape float64
 	// MeanThink is the mean off period between transfers (default 500 ms).
 	MeanThink time.Duration
 	// Protocol carries each transfer (default TCP-SACK).
@@ -48,12 +45,6 @@ type OnOffConfig struct {
 func (c *OnOffConfig) fill() {
 	if c.MeanSizePkts == 0 {
 		c.MeanSizePkts = 20
-	}
-	if c.ParetoShape == 0 {
-		c.ParetoShape = 1.5
-	}
-	if c.ParetoShape <= 1 {
-		panic("workload: ParetoShape must exceed 1")
 	}
 	if c.MeanThink == 0 {
 		c.MeanThink = 500 * time.Millisecond
@@ -119,11 +110,15 @@ func (s *OnOffSource) Start(at sim.Time) {
 	s.net.Scheduler().At(at, s.beginTransfer)
 }
 
+// paretoShape is the transfer-size distribution's tail index: the classic
+// heavy-tailed web value, above 1 for a finite mean.
+const paretoShape = 1.5
+
 // pareto draws a Pareto(shape, xm) sample with the configured mean:
 // mean = xm*shape/(shape-1) => xm = mean*(shape-1)/shape, clamped to
 // [1, 10000] packets so one tail draw cannot dominate a run.
 func (s *OnOffSource) pareto() int64 {
-	shape := s.cfg.ParetoShape
+	shape := paretoShape
 	xm := s.cfg.MeanSizePkts * (shape - 1) / shape
 	u := s.rng.Float64()
 	for u == 0 {

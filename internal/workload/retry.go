@@ -27,12 +27,12 @@ type RetryConfig struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 16s).
 	MaxBackoff time.Duration
-	// JitterFrac spreads each backoff uniformly over ±frac of its value
-	// so flap-synchronized sources do not retry in lockstep. Drawn from
-	// the source's seeded RNG, so runs stay deterministic. Default 0.1;
-	// set negative for exactly zero jitter.
-	JitterFrac float64
 }
+
+// jitterFrac spreads each backoff uniformly over ±10 % of its value so
+// flap-synchronized sources do not retry in lockstep. Drawn from the
+// source's seeded RNG, so runs stay deterministic.
+const jitterFrac = 0.1
 
 func (c *RetryConfig) fill() {
 	if c.Abort.R2 == 0 {
@@ -47,23 +47,14 @@ func (c *RetryConfig) fill() {
 	if c.MaxBackoff == 0 {
 		c.MaxBackoff = 16 * time.Second
 	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.JitterFrac < 0 {
-		c.JitterFrac = 0
-	}
 	if c.MaxAttempts < 1 {
 		panic("workload: RetryConfig.MaxAttempts must be >= 1")
-	}
-	if c.JitterFrac >= 1 {
-		panic("workload: RetryConfig.JitterFrac must be < 1")
 	}
 }
 
 // Backoff returns the delay before retry number n (n=1 is the retry after
 // the first failed attempt): BaseBackoff·2^(n-1), capped at MaxBackoff,
-// jittered by ±JitterFrac. The RNG must be the caller's seeded stream.
+// jittered by ±jitterFrac. The RNG must be the caller's seeded stream.
 func (c RetryConfig) Backoff(n int, rng *rand.Rand) time.Duration {
 	if n < 1 {
 		n = 1
@@ -75,8 +66,5 @@ func (c RetryConfig) Backoff(n int, rng *rand.Rand) time.Duration {
 	if d > c.MaxBackoff {
 		d = c.MaxBackoff
 	}
-	if c.JitterFrac > 0 {
-		d = time.Duration(float64(d) * (1 + c.JitterFrac*(2*rng.Float64()-1)))
-	}
-	return d
+	return time.Duration(float64(d) * (1 + jitterFrac*(2*rng.Float64()-1)))
 }

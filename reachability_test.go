@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,6 +74,231 @@ func TestEverythingIsReachable(t *testing.T) {
 	}
 }
 
+// keptKnobs names the exported *Config fields under internal/ that no
+// non-test code sets but stay on purpose. Each entry is one or more
+// space-separated "dir.Type.Field" names and the reason. An entry whose
+// field non-test code does set fails the test, so the list cannot go
+// stale.
+var keptKnobs = []struct{ names, why string }{
+	{"internal/core.Config.MaxBurst", `TCP-PR-only pacing, DESIGN.md "Sender asymmetries"; the core tests turn it off to isolate the other rules`},
+	{"internal/core.Config.InitialCwnd internal/core.Config.MaxCwnd internal/tcp/reno.Config.MaxCwnd",
+		"the sender tests start from a larger window and check the receiver-window cap"},
+	{"internal/tcp/sack.Config.DupThresh", "the sack tests start from the raised threshold a DSACK policy leaves behind"},
+	{"internal/topo.CityConfig.BackboneDelay internal/topo.CityConfig.BackboneSkew",
+		"the topo and psim tests check that the lookahead follows the ring delays, on a symmetric and a skewed ring"},
+	{"internal/experiments.RunConfig.Smoke", "the registry round trip and the bench smoke run every experiment's smoke cells"},
+	{"internal/experiments.FaultMatrixConfig.Scenarios internal/experiments.ChurnMatrixConfig.Scenarios internal/experiments.ReorderMatrixConfig.Models",
+		"the matrix tests run a test-sized subset of one axis"},
+	{"internal/invariant/fuzzer.Config.Duration internal/invariant/fuzzer.Config.Factory",
+		"the fuzzer's own tests shorten its runs and plant a broken sender to prove the oracle catches it"},
+	{"internal/netem.RepairConfig.IdleTimeout", "the repair tests and the repair fuzz model shrink idle eviction to test time"},
+	{"internal/workload.OnOffConfig.MaxTransfers", "a bounded source lets the drain test assert an empty event queue"},
+}
+
+// TestEveryKnobIsArgued is the field-level companion of the dead-code
+// gate: every exported field of an exported struct type named *Config, in
+// a non-test file under internal/, must be set by non-test code in the
+// module or the benchmark harness, or sit on keptKnobs with a reason. A
+// set is a composite-literal key, an assignment (or ++/--), or &x.F (a
+// flag binding). An assignment inside an if whose condition reads the same
+// field (if c.F == 0 { c.F = … }) is zero-value defaulting, not a caller.
+// Like the dead-code gate the walk is syntactic and errs towards "set":
+// an assignment, a flag binding, or a literal whose type the walk cannot
+// name sets every *Config field of that name.
+func TestEveryKnobIsArgued(t *testing.T) {
+	g := loadModule(t, ".")
+	knobs := g.configFields()
+	set := g.setFields(knobs)
+	if len(keptKnobs) >= 15 {
+		t.Errorf("keptKnobs has %d entries; keep it under 15", len(keptKnobs))
+	}
+	kept := map[string]bool{}
+	for _, k := range keptKnobs {
+		for _, name := range strings.Fields(k.names) {
+			switch _, ok := knobs[name]; {
+			case !ok:
+				t.Errorf("keptKnobs names %s, which is not an exported *Config field under internal/", name)
+			case set[name]:
+				t.Errorf("keptKnobs names %s, which non-test code sets: drop the entry", name)
+			}
+			kept[name] = true
+		}
+	}
+	var report []string
+	for name, pos := range knobs {
+		if !set[name] && !kept[name] {
+			report = append(report, fmt.Sprintf("%s (%s)", name, g.fset.Position(pos)))
+		}
+	}
+	sort.Strings(report)
+	if len(report) > 0 {
+		t.Errorf("%d *Config field(s) no non-test code sets; delete them (a constant holds the default), "+
+			"set them from a caller, or add them to keptKnobs with a reason:\n\t%s",
+			len(report), strings.Join(report, "\n\t"))
+	}
+	t.Logf("%d exported *Config fields under internal/, %d of them on keptKnobs (%d entries)",
+		len(knobs), len(kept), len(keptKnobs))
+}
+
+// configFields returns the exported fields of every exported struct type
+// named *Config in a non-test file under internal/, keyed
+// "dir.Type.Field", with their positions.
+func (g *moduleGraph) configFields() map[string]token.Pos {
+	knobs := map[string]token.Pos{}
+	for _, f := range g.files {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, d := range f.file.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					names := fl.Names
+					if names == nil { // embedded: the field is named after its type
+						names = []*ast.Ident{{NamePos: fl.Pos(), Name: recvName(fl.Type)}}
+					}
+					for _, n := range names {
+						if n.IsExported() {
+							knobs[f.dir+"."+ts.Name.Name+"."+n.Name] = n.Pos()
+						}
+					}
+				}
+			}
+		}
+	}
+	return knobs
+}
+
+// setFields walks every non-test file of the module and returns the knobs
+// some code sets, by the rules of TestEveryKnobIsArgued.
+func (g *moduleGraph) setFields(knobs map[string]token.Pos) map[string]bool {
+	byName := map[string][]string{}
+	for k := range knobs {
+		field := k[strings.LastIndex(k, ".")+1:]
+		byName[field] = append(byName[field], k)
+	}
+	set := map[string]bool{}
+	setAny := func(field string) {
+		for _, k := range byName[field] {
+			set[k] = true
+		}
+	}
+	for _, f := range g.files {
+		elided := map[*ast.CompositeLit]ast.Expr{} // element literals' types, from their parent
+		var conds []ast.Expr                       // enclosing if conditions
+		defaulting := func(lhs ast.Expr) bool {
+			want := types.ExprString(lhs)
+			for _, c := range conds {
+				found := false
+				ast.Inspect(c, func(n ast.Node) bool {
+					if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == want {
+						found = true
+					}
+					return !found
+				})
+				if found {
+					return true
+				}
+			}
+			return false
+		}
+		assigned := func(lhs ast.Expr) {
+			if s, ok := lhs.(*ast.SelectorExpr); ok && !defaulting(s) {
+				setAny(s.Sel.Name)
+			}
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if n.Init != nil {
+					ast.Inspect(n.Init, visit)
+				}
+				ast.Inspect(n.Cond, visit)
+				conds = append(conds, n.Cond)
+				ast.Inspect(n.Body, visit)
+				if n.Else != nil {
+					ast.Inspect(n.Else, visit)
+				}
+				conds = conds[:len(conds)-1]
+				return false
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					assigned(l)
+				}
+			case *ast.IncDecStmt:
+				assigned(n.X)
+			case *ast.UnaryExpr:
+				if s, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					setAny(s.Sel.Name)
+				}
+			case *ast.CompositeLit:
+				typ := n.Type
+				if typ == nil {
+					typ = elided[n]
+				}
+				// A named type resolves to "dir.Type"; a type from outside
+				// the module, or a literal array, map or struct type, has
+				// no knobs; a type the walk cannot name matches by field.
+				var elem ast.Expr // the type an elided element literal inherits
+				name, known := "", typ != nil
+				switch t := typ.(type) {
+				case *ast.Ident:
+					name = f.dir + "." + t.Name
+				case *ast.SelectorExpr:
+					if x, ok := t.X.(*ast.Ident); ok && f.imps[x.Name] != "" {
+						name = f.imps[x.Name] + "." + t.Sel.Name
+					}
+				case *ast.ArrayType:
+					elem = t.Elt
+				case *ast.MapType:
+					elem = t.Value
+				}
+				if s, ok := elem.(*ast.StarExpr); ok {
+					elem = s.X
+				}
+				for _, e := range n.Elts {
+					kv, keyed := e.(*ast.KeyValueExpr)
+					if keyed {
+						e = kv.Value
+						if key, ok := kv.Key.(*ast.Ident); ok && !known {
+							setAny(key.Name)
+						} else if ok && name != "" {
+							set[name+"."+key.Name] = true
+						}
+					} else if name != "" { // positional: every field is set
+						for k := range knobs {
+							if strings.HasPrefix(k, name+".") {
+								set[k] = true
+							}
+						}
+					}
+					if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+						e = u.X
+					}
+					if cl, ok := e.(*ast.CompositeLit); ok && cl.Type == nil {
+						elided[cl] = elem
+					}
+				}
+			}
+			return true
+		}
+		ast.Inspect(f.file, visit)
+	}
+	return set
+}
+
 // moduleGraph is every top-level declaration of the module's non-test
 // files, plus what the liveness walk needs to resolve names.
 type moduleGraph struct {
@@ -81,6 +307,13 @@ type moduleGraph struct {
 	byKey   map[string]*decl
 	methods map[string][]*decl // by method name
 	roots   []*decl
+	files   []srcFile
+}
+
+type srcFile struct {
+	dir  string
+	imps map[string]string
+	file *ast.File
 }
 
 type pkgDecls struct {
@@ -158,6 +391,7 @@ func loadModule(t *testing.T, root string) *moduleGraph {
 			}
 			imps[name] = dir
 		}
+		g.files = append(g.files, srcFile{p.dir, imps, p.file})
 		root := pkg.name == "main" || pkg.dir == "internal/bench"
 		add := func(d *decl) {
 			d.pkg, d.imps = pkg, imps
