@@ -44,6 +44,25 @@ func TestCleanDumbbellAllProtocols(t *testing.T) {
 	}
 }
 
+// TestCheckerAttachesEveryVariant: every registered protocol must get
+// either the TCP-PR rules or the RFC-family rules. A sender type that
+// drifts off the probe surface would otherwise pass every clean run with
+// its per-variant rules silently off.
+func TestCheckerAttachesEveryVariant(t *testing.T) {
+	for _, proto := range workload.AllProtocols() {
+		sched := sim.NewScheduler()
+		d := topo.NewDumbbell(sched, topo.DumbbellConfig{Hosts: 1})
+		c := New(sched)
+		f := tcp.NewFlow(d.Net, 1, d.Src(0), d.Dst(0),
+			routing.Static{Path: d.FwdPath(0)}, routing.Static{Path: d.RevPath(0)})
+		workload.NewFlow(f, proto, workload.PRParams{}, 0)
+		c.AttachFlow(f, proto)
+		if fs := c.flows[f.ID]; fs.pr == nil && fs.rfc == nil {
+			t.Errorf("%s: sender %T gets neither the TCP-PR nor the RFC-family rules", proto, f.Sender())
+		}
+	}
+}
+
 // TestCleanMultipathReordering: TCP-PR and TCP-SACK under ε=0 multipath —
 // persistent reordering is the paper's core scenario and the hardest case
 // for the retransmission-discipline rules.
