@@ -12,12 +12,7 @@ import (
 	"tcppr/internal/core"
 	"tcppr/internal/sim"
 	"tcppr/internal/tcp"
-	"tcppr/internal/tcp/door"
-	"tcppr/internal/tcp/dsack"
-	"tcppr/internal/tcp/eifel"
-	"tcppr/internal/tcp/reno"
-	"tcppr/internal/tcp/sack"
-	"tcppr/internal/tcp/tdfr"
+	"tcppr/internal/tcp/dupack"
 )
 
 // Protocol names, matching the labels of the paper's figures.
@@ -68,45 +63,32 @@ type SenderFactory func(env tcp.SenderEnv) tcp.Sender
 // experiment asking for a protocol we do not model is a configuration
 // bug, not a runtime condition.
 func Factory(name string, pr PRParams) SenderFactory {
+	cfg := dupack.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts}
 	switch name {
 	case TCPPR:
 		return func(env tcp.SenderEnv) tcp.Sender {
 			return core.New(env, core.Config{Alpha: pr.Alpha, Beta: pr.Beta, InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
 		}
 	case TCPSACK:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return sack.New(env, sack.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.SACK(env, cfg) }
 	case TCPReno:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return reno.New(env, reno.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.Reno(env, cfg) }
 	case NewReno:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return reno.New(env, reno.Config{NewReno: true, InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.NewReno(env, cfg) }
 	case TDFR:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return tdfr.New(env, reno.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
-		}
-	case DSACKNM, DSACKIn1, DSACKInN, DSACKEW:
-		mk := dsack.Variants()[name]
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return sack.New(env, sack.Config{
-				Policy:                  mk(),
-				ExtendedLimitedTransmit: true,
-				InitialSsthresh:         pr.ssthresh(),
-				MaxData:                 pr.MaxDataPkts,
-			})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.TDFR(env, cfg) }
+	case DSACKNM:
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.DSACKNM(env, cfg) }
+	case DSACKIn1:
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.DSACKInc1(env, cfg) }
+	case DSACKInN:
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.DSACKIncN(env, cfg) }
+	case DSACKEW:
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.DSACKEWMA(env, cfg) }
 	case TCPDOOR:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return door.New(env, door.Config{Reno: reno.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts}})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.DOOR(env, cfg) }
 	case Eifel:
-		return func(env tcp.SenderEnv) tcp.Sender {
-			return eifel.New(env, reno.Config{InitialSsthresh: pr.ssthresh(), MaxData: pr.MaxDataPkts})
-		}
+		return func(env tcp.SenderEnv) tcp.Sender { return dupack.Eifel(env, cfg) }
 	default:
 		panic(fmt.Sprintf("workload: unknown protocol %q", name))
 	}

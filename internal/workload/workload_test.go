@@ -22,6 +22,61 @@ func TestFactoryBuildsEveryProtocol(t *testing.T) {
 	}
 }
 
+// TestDupAckSendersStopCleanly: a connection abort stops the sender
+// through tcp.Stopper. For every dupACK variant, three duplicate ACKs
+// leave the retransmission timer armed — and, for TD-FR, the reordering
+// timer too — and Stop must leave the sender quiescent with none of its
+// events queued. (internal/core tests the same for TCP-PR.)
+func TestDupAckSendersStopCleanly(t *testing.T) {
+	for _, name := range AllProtocols() {
+		if name == TCPPR {
+			continue
+		}
+		sched := sim.NewScheduler()
+		var sent []tcp.Seg
+		env := tcp.SenderEnv{Sched: sched, Transmit: func(seg tcp.Seg) bool {
+			sent = append(sent, seg)
+			return true
+		}}
+		s := Factory(name, PRParams{})(env)
+		st, ok := s.(interface {
+			tcp.Stopper
+			Quiescent() bool
+		})
+		if !ok {
+			t.Errorf("%s: sender %T has no Stop or Quiescent", name, s)
+			continue
+		}
+		// Two 100 ms round trips: an RTT sample, and a window of 4.
+		s.Start()
+		var acked int64
+		for round := 0; round < 2; round++ {
+			flight := sent
+			sent = nil
+			sched.RunUntil(sched.Now() + 100*time.Millisecond)
+			for _, seg := range flight {
+				acked++
+				s.OnAck(tcp.Ack{CumAck: acked, EchoSeq: seg.Seq})
+			}
+		}
+		for i := int64(1); i <= 3; i++ {
+			s.OnAck(tcp.Ack{CumAck: acked, EchoSeq: acked + i})
+		}
+		armed := 1 // the retransmission timer
+		if name == TDFR {
+			armed = 2 // and the reordering timer, due SRTT/2 after the first duplicate
+		}
+		if n := sched.Len(); n != armed || st.Quiescent() {
+			t.Errorf("%s: %d events queued (quiescent %v) after three duplicate ACKs, want %d armed timers",
+				name, n, st.Quiescent(), armed)
+		}
+		st.Stop()
+		if n := sched.Len(); n != 0 || !st.Quiescent() {
+			t.Errorf("%s: %d events queued (quiescent %v) after Stop, want none", name, n, st.Quiescent())
+		}
+	}
+}
+
 func TestFactoryUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

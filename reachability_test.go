@@ -81,9 +81,8 @@ func TestEverythingIsReachable(t *testing.T) {
 // stale.
 var keptKnobs = []struct{ names, why string }{
 	{"internal/core.Config.MaxBurst", `TCP-PR-only pacing, DESIGN.md "Sender asymmetries"; the core tests turn it off to isolate the other rules`},
-	{"internal/core.Config.InitialCwnd internal/core.Config.MaxCwnd internal/tcp/reno.Config.MaxCwnd",
+	{"internal/core.Config.InitialCwnd internal/core.Config.MaxCwnd",
 		"the sender tests start from a larger window and check the receiver-window cap"},
-	{"internal/tcp/sack.Config.DupThresh", "the sack tests start from the raised threshold a DSACK policy leaves behind"},
 	{"internal/topo.CityConfig.BackboneDelay internal/topo.CityConfig.BackboneSkew",
 		"the topo and psim tests check that the lookahead follows the ring delays, on a symmetric and a skewed ring"},
 	{"internal/experiments.RunConfig.Smoke", "the registry round trip and the bench smoke run every experiment's smoke cells"},
