@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"tcppr/internal/netem"
 	"tcppr/internal/psim"
@@ -229,4 +230,55 @@ func TestArtifactWriteFile(t *testing.T) {
 	if len(back.Baseline) != len(Baseline) {
 		t.Fatalf("round trip lost baseline: %+v", back)
 	}
+}
+
+// TestCityCrossingsCheap holds what the pooled crossings and the lane inbox
+// buy on the four-shard city, as exact counts of one op of each city entry.
+// Allocations stay within 1.5× the one-shard city's (the benchmark's
+// psim.alloc_ratio_vs_1shard; 11× when every crossing allocated a message
+// and a payload box). A crossing used to cost two heap pushes beyond the
+// one-shard run: its message's event, and the anchor of the egress stub's
+// lane, which empties between packets because the stub has no propagation
+// delay. The message now rides its shard's lane, so the pushes fell by
+// about one per crossing; the gate allows 1.2 extra pushes per crossing,
+// a fall of at least 0.8.
+func TestCityCrossingsCheap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate in -short mode")
+	}
+	op := func(shards int, obs psim.EngineObserver) sim.Stats {
+		eng, st := psim.BuildCity(cityRun(shards))
+		if obs != nil {
+			eng.SetObserver(obs)
+		}
+		eng.Run(sim.Time(cityHorizon))
+		if st.Finish(0).Transfers == 0 {
+			t.Fatalf("shards=%d: no transfers completed", shards)
+		}
+		return eng.SchedulerStats()
+	}
+	one := testing.AllocsPerRun(1, func() { op(1, nil) })
+	four := testing.AllocsPerRun(1, func() { op(4, nil) })
+	t.Logf("allocs/op: %.0f at 1 shard, %.0f at 4 (ratio %.2f)", one, four, four/one)
+	if four > 1.5*one {
+		t.Errorf("psim/city-4shard allocates %.0f per op, more than 1.5 × psim/city-1shard's %.0f", four, one)
+	}
+
+	var crossings crossCounter
+	seq, par := op(1, nil), op(4, &crossings)
+	t.Logf("heap pushes/op: %d at 1 shard, %d at 4; %d crossings; lane fallbacks %d at 4 shards",
+		seq.Pushes, par.Pushes, crossings, par.LaneFallbacks)
+	if crossings == 0 || 5*(par.Pushes-seq.Pushes) > 6*uint64(crossings) {
+		t.Errorf("psim/city-4shard pushes %d heap entries more than psim/city-1shard for %d crossings, want at most 1.2 per crossing",
+			par.Pushes-seq.Pushes, crossings)
+	}
+}
+
+// crossCounter is an engine observer that counts the crossing messages.
+type crossCounter int
+
+func (c *crossCounter) WindowStart(int, sim.Time, sim.Time)                             {}
+func (c *crossCounter) ShardWindow(int, int, uint64, int, time.Duration, time.Duration) {}
+func (c *crossCounter) WindowEnd(_ int, _ sim.Time, messages int, _ time.Duration) {
+	*c += crossCounter(messages)
 }

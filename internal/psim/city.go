@@ -186,13 +186,11 @@ func BuildCity(cfg CityRun) (*Engine, *CityState) {
 				revNames := []string{dstName, topo.CityRouter(pr[1]), topo.CityRouter(pr[0]), srcName}
 				fwd := eng.Route(id, fwdNames...)
 				rev := eng.Route(id, revNames...)
-				srcSh, srcNode := eng.Node(srcName)
-				dstSh, dstNode := eng.Node(dstName)
-				f := tcp.NewSplitFlow(srcSh.Net, dstSh.Net, id, srcNode, dstNode, fwd, rev)
+				f := eng.NewFlow(id, srcName, dstName, fwd, rev)
 				f.Attach(workload.Factory(cfg.BulkProtocol, workload.PRParams{}))
 				f.Start(sim.Time(time.Duration(id) * time.Millisecond / 4))
-				if cfg.CheckInvariants && srcSh == dstSh {
-					checkers[srcSh.Index].AttachFlow(f, cfg.BulkProtocol)
+				if sh := eng.ShardOf(srcName); cfg.CheckInvariants && sh == eng.ShardOf(dstName) {
+					checkers[sh.Index].AttachFlow(f, cfg.BulkProtocol)
 				}
 				st.bulk = append(st.bulk, f)
 				id++

@@ -26,7 +26,10 @@
 // event loop is single-threaded and deterministic, and the barrier
 // injects messages in a canonical order — sorted by (timestamp, cut-link
 // enqueue time, source shard, emission order) — so same-timestamp
-// arrivals tie-break identically on every run. A single-shard run is
+// arrivals tie-break identically on every run. A message is a value until
+// the destination shard copies it into a *message from its own free list
+// and schedules it on its lane; Lane.At draws the sequence number AtFunc
+// would, so the lane changes no firing order. A single-shard run is
 // byte-for-byte the sequential simulation: no cuts, no portals, one
 // scheduler, and the windowed RunUntil sweep executes exactly the event
 // sequence a plain Run would. Across shard counts the engine preserves
@@ -49,15 +52,17 @@
 package psim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"tcppr/internal/netem"
 	"tcppr/internal/routing"
 	"tcppr/internal/sim"
+	"tcppr/internal/tcp"
 	"tcppr/internal/topo"
 )
 
@@ -72,8 +77,10 @@ type Shard struct {
 	Net   *netem.Network
 	Rng   *rand.Rand
 
-	inbox  []*message // next windows' arrivals, owned by the engine at barriers
-	outbox []*message // this window's cross-boundary emissions
+	inbox  []message  // next window's arrivals, owned by the engine at barriers
+	outbox []message  // this window's cross-boundary emissions
+	free   []*message // spent arrivals; taken by runWindow, returned by injectMsg
+	lane   sim.Lane   // the injections, in inbox order
 }
 
 // message is one packet crossing a shard boundary: the payload and wire
@@ -105,11 +112,15 @@ type crossing struct {
 
 // Engine holds the sharded instantiation of one blueprint.
 type Engine struct {
-	bp        topo.Blueprint
 	part      topo.Partition
 	shards    []*Shard
 	crossings map[linkName]*crossing
 	window    time.Duration
+	split     []*tcp.Flow // flows whose two halves run on different shards
+
+	wg   sync.WaitGroup
+	end  sim.Time // end of the window the shard workers run
+	work []func() // one per shard, bound once so spawning allocates nothing
 
 	obs      EngineObserver
 	obsTimes []shardTiming // scratch, one entry per shard, reused every window
@@ -168,7 +179,6 @@ type linkName struct{ from, to string }
 // replaced by the message timestamp.
 func NewEngine(bp topo.Blueprint, part topo.Partition, seed int64) *Engine {
 	e := &Engine{
-		bp:        bp,
 		part:      part,
 		crossings: make(map[linkName]*crossing),
 		window:    part.Lookahead(),
@@ -184,9 +194,11 @@ func NewEngine(bp topo.Blueprint, part topo.Partition, seed int64) *Engine {
 		for _, name := range part.Nodes(i) {
 			sh.Net.Node(name)
 		}
+		sh.lane.Init(sched, injectMsg)
 		e.shards = append(e.shards, sh)
+		e.work = append(e.work, func() { e.runShard(i); e.wg.Done() })
 	}
-	for i, l := range bp.Links {
+	for _, l := range bp.Links {
 		fs, ts := part.ShardOf(l.From), part.ShardOf(l.To)
 		if fs == ts {
 			e.shards[fs].Net.AddLink(l.From, l.To, l.BW, l.Delay, l.Queue)
@@ -203,7 +215,6 @@ func NewEngine(bp topo.Blueprint, part topo.Partition, seed int64) *Engine {
 		}
 		c.portal = src.Net.Node(portalName)
 		e.crossings[linkName{l.From, l.To}] = c
-		_ = i
 	}
 	return e
 }
@@ -249,7 +260,7 @@ func (e *Engine) Route(flowID int, names ...string) routing.Router {
 		src := c.src
 		delay := c.delay
 		c.portal.Handle(flowID, func(p *netem.Packet) {
-			src.outbox = append(src.outbox, &message{
+			src.outbox = append(src.outbox, message{
 				at:       src.Sched.Now() + delay,
 				enq:      p.EnqueuedAt(),
 				flow:     m.flow,
@@ -291,10 +302,25 @@ func (e *Engine) segments(names []string) (segs [][]*netem.Link, crossings []*cr
 	return segs, crossings
 }
 
+// NewFlow wires a TCP flow between two blueprint nodes over routers built
+// by Route. When the endpoints sit on different shards the flow is split
+// (tcp.NewSplitFlow), and every barrier hands its spent payload boxes back
+// to the side that reuses them.
+func (e *Engine) NewFlow(id int, src, dst string, fwd, rev routing.Router) *tcp.Flow {
+	srcSh, srcNode := e.Node(src)
+	dstSh, dstNode := e.Node(dst)
+	f := tcp.NewSplitFlow(srcSh.Net, dstSh.Net, id, srcNode, dstNode, fwd, rev)
+	if srcSh != dstSh {
+		e.split = append(e.split, f)
+	}
+	return f
+}
+
 // injectMsg materializes one crossing message on its destination shard:
 // packets with a remaining route are sent down it (paying the remaining
 // links' serialization and queueing); packets that crossed on their final
-// hop are handed straight to the entry node's flow handler.
+// hop are handed straight to the entry node's flow handler. The message
+// then goes back to the shard's free list.
 func injectMsg(arg any) {
 	m := arg.(*message)
 	p := m.dst.Net.NewPacket()
@@ -304,9 +330,10 @@ func injectMsg(arg any) {
 	if len(m.route) > 0 {
 		p.Path = m.route
 		m.dst.Net.Send(p)
-		return
+	} else {
+		m.dst.Net.Inject(m.entry, p)
 	}
-	m.dst.Net.Inject(m.entry, p)
+	m.dst.free = append(m.dst.free, m)
 }
 
 // Run drives every shard to the horizon in lockstep barrier windows. With
@@ -319,88 +346,91 @@ func (e *Engine) Run(horizon sim.Time) {
 	if w == 0 || len(e.shards) == 1 {
 		w = horizon
 	}
-	window := 0
-	for start := sim.Time(0); start < horizon; window++ {
-		end := start + w
-		if end > horizon {
-			end = horizon
-		}
-		if e.obs != nil {
-			e.obs.WindowStart(window, start, end)
-		}
-		if len(e.shards) == 1 {
-			if e.obs == nil {
-				e.shards[0].runWindow(end)
-			} else {
-				e.shards[0].runWindowTimed(end, &e.obsTimes[0])
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i, sh := range e.shards {
-				wg.Add(1)
-				if e.obs == nil {
-					go func(sh *Shard) {
-						defer wg.Done()
-						sh.runWindow(end)
-					}(sh)
-					continue
-				}
-				go func(sh *Shard, t *shardTiming) {
-					defer wg.Done()
-					sh.runWindowTimed(end, t)
-				}(sh, &e.obsTimes[i])
-			}
-			wg.Wait()
-		}
-		var messages int
-		var exchStart time.Time
-		if e.obs != nil {
-			// The barrier clears when the slowest shard finishes; every
-			// other shard's wait is the gap back to its own finish.
-			barrier := e.obsTimes[0].finish
-			for i := 1; i < len(e.shards); i++ {
-				if e.obsTimes[i].finish.After(barrier) {
-					barrier = e.obsTimes[i].finish
-				}
-			}
-			for i, sh := range e.shards {
-				t := &e.obsTimes[i]
-				e.obs.ShardWindow(i, window, t.events, len(sh.outbox),
-					t.finish.Sub(t.start), barrier.Sub(t.finish))
-				messages += len(sh.outbox)
-			}
-			exchStart = time.Now()
-		}
-		e.exchange()
-		if e.obs != nil {
-			e.obs.WindowEnd(window, end, messages, time.Since(exchStart))
-		}
-		start = end
+	for window, start := 0, sim.Time(0); start < horizon; window, start = window+1, start+w {
+		e.step(window, start, min(start+w, horizon))
 	}
 }
 
-// runWindow schedules the window's pending arrivals and executes every
-// event up to the window end. Arrival timestamps are never in the past:
-// each is at least one lookahead beyond the window in which its packet
-// crossed the boundary.
+// step runs one window, (start, end], on every shard and exchanges its
+// crossings at the barrier.
+func (e *Engine) step(window int, start, end sim.Time) {
+	if e.obs != nil {
+		e.obs.WindowStart(window, start, end)
+	}
+	e.end = end
+	if len(e.shards) == 1 {
+		e.runShard(0)
+	} else {
+		e.wg.Add(len(e.work))
+		for _, work := range e.work {
+			go work()
+		}
+		e.wg.Wait()
+	}
+	var messages int
+	var exchStart time.Time
+	if e.obs != nil {
+		// The barrier clears when the slowest shard finishes; every
+		// other shard's wait is the gap back to its own finish.
+		barrier := e.obsTimes[0].finish
+		for i := 1; i < len(e.shards); i++ {
+			if e.obsTimes[i].finish.After(barrier) {
+				barrier = e.obsTimes[i].finish
+			}
+		}
+		for i, sh := range e.shards {
+			t := &e.obsTimes[i]
+			e.obs.ShardWindow(i, window, t.events, len(sh.outbox),
+				t.finish.Sub(t.start), barrier.Sub(t.finish))
+			messages += len(sh.outbox)
+		}
+		exchStart = time.Now()
+	}
+	e.exchange()
+	if e.obs != nil {
+		e.obs.WindowEnd(window, end, messages, time.Since(exchStart))
+	}
+}
+
+// runShard runs shard i to the window end. With an observer attached the
+// run is bracketed by the observer's wall-clock bookkeeping: the shard's own
+// start/finish stamps (goroutine scheduling delay lands in the barrier wait
+// of whichever shard started late, not in its execute time) and the
+// events-executed delta.
+func (e *Engine) runShard(i int) {
+	sh := e.shards[i]
+	if e.obs == nil {
+		sh.runWindow(e.end)
+		return
+	}
+	t := &e.obsTimes[i]
+	before := sh.Sched.Processed()
+	t.start = time.Now()
+	sh.runWindow(e.end)
+	t.finish = time.Now()
+	t.events = sh.Sched.Processed() - before
+}
+
+// runWindow schedules the window's pending arrivals on the shard's lane and
+// executes every event up to the window end. Arrival timestamps are never
+// in the past: each is at least one lookahead beyond the window in which
+// its packet crossed the boundary. The inbox is sorted, so the lane's times
+// do not decrease unless a longer cut delay left a later arrival waiting
+// from the last window; Lane.At turns such an arrival into a plain event.
+// Either way it draws the sequence number AtFunc would have.
 func (sh *Shard) runWindow(end sim.Time) {
-	for _, m := range sh.inbox {
-		sh.Sched.AtFunc(m.at, injectMsg, m)
+	for i := range sh.inbox {
+		var m *message
+		if n := len(sh.free); n > 0 {
+			m, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			m = new(message)
+		}
+		*m = sh.inbox[i]
+		sh.lane.At(m.at, m)
 	}
 	sh.inbox = sh.inbox[:0]
 	sh.Sched.RunUntil(end)
-}
-
-// runWindowTimed is runWindow bracketed by the observer's wall-clock
-// bookkeeping: its own start/finish stamps (goroutine scheduling delay
-// lands in the barrier wait of whichever shard started late, not in its
-// execute time) and the events-executed delta.
-func (sh *Shard) runWindowTimed(end sim.Time, t *shardTiming) {
-	before := sh.Sched.Processed()
-	t.start = time.Now()
-	sh.runWindow(end)
-	t.finish = time.Now()
-	t.events = sh.Sched.Processed() - before
 }
 
 // exchange routes every shard's outbox to the destination inboxes in
@@ -413,7 +443,9 @@ func (sh *Shard) runWindowTimed(end sim.Time, t *shardTiming) {
 // first. Sorting arrivals the same way keeps same-timestamp queue
 // contention at the entry node identical to the 1-shard run; the
 // (source shard, emission order) tail pins reproducibility for the
-// residual case of ties in the enqueue times themselves.
+// residual case of ties in the enqueue times themselves. The key is total,
+// so the sort need not be stable. With every shard parked, this is also
+// where each split flow's spent payload boxes go back (tcp.Flow.Reclaim).
 func (e *Engine) exchange() {
 	for _, sh := range e.shards {
 		for _, m := range sh.outbox {
@@ -422,19 +454,13 @@ func (e *Engine) exchange() {
 		sh.outbox = sh.outbox[:0]
 	}
 	for _, sh := range e.shards {
-		in := sh.inbox
-		sort.SliceStable(in, func(i, j int) bool {
-			if in[i].at != in[j].at {
-				return in[i].at < in[j].at
-			}
-			if in[i].enq != in[j].enq {
-				return in[i].enq < in[j].enq
-			}
-			if in[i].srcShard != in[j].srcShard {
-				return in[i].srcShard < in[j].srcShard
-			}
-			return in[i].seq < in[j].seq
+		slices.SortFunc(sh.inbox, func(a, b message) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.enq, b.enq),
+				cmp.Compare(a.srcShard, b.srcShard), cmp.Compare(a.seq, b.seq))
 		})
+	}
+	for _, f := range e.split {
+		f.Reclaim()
 	}
 }
 

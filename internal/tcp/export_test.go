@@ -1,6 +1,11 @@
 package tcp
 
-import "tcppr/internal/sim"
+import (
+	"math"
+	"slices"
+
+	"tcppr/internal/sim"
+)
 
 // HasSample reports whether at least one RTT sample has been absorbed.
 func (e *RTOEstimator) HasSample() bool { return e.hasRTT }
@@ -32,4 +37,24 @@ func (b SackBlock) Len() int64 { return b.End - b.Start }
 func (t *SendTimes) SentAt(seq int64) (sim.Time, bool) {
 	at, ok := t.times[seq]
 	return at, ok
+}
+
+// SetDebugPool switches split-flow box poisoning (TCPPR_DEBUG_POOL) and
+// returns a function restoring the previous setting.
+func SetDebugPool(on bool) (restore func()) {
+	was := debugPool
+	debugPool = on
+	return func() { debugPool = was }
+}
+
+// PooledBoxes returns every payload box waiting on a split flow's free and
+// spent lists, and whether each carries the poison mark.
+func (f *Flow) PooledBoxes() (boxes []any, poisoned []bool) {
+	for _, b := range slices.Concat(f.segFree, f.spent.seg) {
+		boxes, poisoned = append(boxes, b), append(poisoned, b.Seq == math.MinInt64)
+	}
+	for _, b := range slices.Concat(f.ackFree, f.spent.ack) {
+		boxes, poisoned = append(boxes, b), append(poisoned, b.CumAck == math.MinInt64)
+	}
+	return boxes, poisoned
 }

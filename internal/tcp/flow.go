@@ -2,6 +2,8 @@ package tcp
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"time"
 
 	"tcppr/internal/netem"
@@ -122,12 +124,13 @@ type Flow struct {
 	// so the flow boxes pointers into recycled storage instead: the sending
 	// side pops a box, the receiving side returns it after copying the
 	// value out. Boxes on dropped packets simply fall to the garbage
-	// collector (the pool refills by allocation). noPool disables recycling
-	// for flows whose two ends live on different schedulers (see
-	// NewSplitFlow): there the put would race with the peer's pop.
+	// collector (the pool refills by allocation). A split flow's receiving
+	// side parks the box on a spent list only it touches, and Reclaim moves
+	// it to the free list at a barrier (see NewSplitFlow); spent is nil for
+	// a flow on one network.
 	segFree []*Seg
 	ackFree []*Ack
-	noPool  bool
+	spent   *spentBoxes
 
 	dataSent, dataRetx, acksSent uint64
 }
@@ -145,9 +148,10 @@ func NewFlow(net *netem.Network, id int, src, dst *netem.Node, fwd, rev routing.
 // NewSplitFlow wires a flow whose two endpoints live on different networks
 // (and therefore different schedulers): the sending half runs on srcNet's
 // shard, the receiving half on dstNet's. The routers must route through
-// the cross-shard portal stubs (see internal/psim); payload box pooling is
-// disabled because a box popped on one scheduler would be recycled on the
-// other. Passing the same network twice degenerates to NewFlow.
+// the cross-shard portal stubs (see internal/psim). A box popped on one
+// scheduler is consumed on the other, so consumed boxes wait on that side's
+// spent list until the owner of both schedulers calls Reclaim. Passing the
+// same network twice degenerates to NewFlow.
 func NewSplitFlow(srcNet, dstNet *netem.Network, id int, src, dst *netem.Node, fwd, rev routing.Router) *Flow {
 	if fwd == nil || rev == nil {
 		panic("tcp: NewFlow requires both routers")
@@ -163,7 +167,9 @@ func NewSplitFlow(srcNet, dstNet *netem.Network, id int, src, dst *netem.Node, f
 		fwd:     fwd,
 		rev:     rev,
 		recv:    &Receiver{},
-		noPool:  srcNet != dstNet,
+	}
+	if srcNet != dstNet {
+		f.spent = new(spentBoxes)
 	}
 	f.delackTimer = sim.NewTimer(dstNet.Scheduler(), func() {
 		if f.delackPending {
@@ -279,7 +285,9 @@ func (f *Flow) onDataArrival(p *netem.Packet) {
 		return // an ACK looped to the wrong endpoint; impossible by construction
 	}
 	seg := *box
-	if !f.noPool {
+	if f.spent != nil {
+		f.spent.seg = append(f.spent.seg, spend(box, &box.Seq))
+	} else {
 		f.segFree = append(f.segFree, box)
 	}
 	now := f.dstNet.Scheduler().Now()
@@ -358,8 +366,43 @@ func (f *Flow) onAckArrival(p *netem.Packet) {
 	}
 	// ack (and its Blocks alias into the box) is dead past this point; the
 	// sender and hooks read ACKs synchronously, copying what they keep.
-	if !f.noPool {
-		box.DSACK = nil
+	box.DSACK = nil
+	if f.spent != nil {
+		f.spent.ack = append(f.spent.ack, spend(box, &box.CumAck))
+	} else {
 		f.ackFree = append(f.ackFree, box)
 	}
+}
+
+// spentBoxes are the boxes a split flow consumed since the last Reclaim:
+// seg is the receiving side's list, ack the sending side's.
+type spentBoxes struct {
+	seg []*Seg
+	ack []*Ack
+}
+
+// Reclaim hands a split flow's consumed boxes back to the side that pops
+// them. Neither side's scheduler may run during the call: psim calls it at
+// the barrier, with every shard parked.
+func (f *Flow) Reclaim() {
+	f.segFree = append(f.segFree, f.spent.seg...)
+	f.ackFree = append(f.ackFree, f.spent.ack...)
+	f.spent.seg, f.spent.ack = f.spent.seg[:0], f.spent.ack[:0]
+}
+
+// debugPool poisons a split flow's spent boxes when TCPPR_DEBUG_POOL is set:
+// a packet arriving with a box already waiting to be reused panics instead
+// of reading the box's next occupant.
+var debugPool = os.Getenv("TCPPR_DEBUG_POOL") != ""
+
+// spend is the consuming side's release of a box, with its sequence field
+// as the poison mark.
+func spend[B any](box *B, seq *int64) *B {
+	if debugPool {
+		if *seq == math.MinInt64 {
+			panic(fmt.Sprintf("tcp: packet carries a %T box already released", box))
+		}
+		*seq = math.MinInt64
+	}
+	return box
 }
